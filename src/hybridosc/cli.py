@@ -173,7 +173,10 @@ def _cmd_simulate(args, config) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad simulation settings: {exc}") from exc
 
-    stats = sde.simulate_ensemble(dn, cfg, threads=args.threads)
+    try:
+        stats = sde.simulate_ensemble(dn, cfg, threads=args.threads)
+    except ValueError as exc:
+        raise ConfigError(f"bad simulation settings: {exc}") from exc
     buf = io.StringIO()
     stats.write_csv(buf)
     _emit(buf.getvalue(), args.output)
@@ -196,6 +199,8 @@ def _cmd_poles(args, config) -> int:
 
 def _cmd_correlators(args, config) -> int:
     params = _system_params(args, config)
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     t = np.linspace(-args.t_max, args.t_max, args.points)
     method = args.method
     if method == "auto":
@@ -406,12 +411,10 @@ def _verify_checks(params: SystemParams, seed: int, mc_trajectories: int, tol_sc
     mapped = cq_mod.map_to_classical(hybrid)
     hybrid_cov = cq_mod.hybrid_equal_time(hybrid)
     lyap = steadystate.solve_lyapunov(assemble_drift_noise(mapped))
-    slots = {"pp": (1, 1), "PP": (3, 3), "qq": (0, 0), "QQ": (2, 2),
-             "qQ": (0, 2), "Pq": (0, 3), "pQ": (2, 1), "pP": (1, 3)}
     h_scale = float(np.max(np.abs(lyap)))
     add(
         "hybrid_equal_time_vs_lyapunov",
-        max(abs(hybrid_cov[k] - lyap[idx]) for k, idx in slots.items()) / h_scale,
+        max(abs(hybrid_cov[k] - lyap[idx]) for k, idx in cq_mod.EQUAL_TIME_SLOTS.items()) / h_scale,
         1e-9,
     )
     tiny = cq_mod.CQParams(

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OverdampedUnsupported, TradeoffViolation
-from .model import OscillatorParams, SystemParams
+from .model import OscillatorParams, SystemParams, energy_weight_matrix
 from .steadystate import closed_form_covariances
 
 
@@ -271,15 +271,10 @@ def hybrid_correlators(cq: CQParams, t_grid: np.ndarray) -> HybridCorrelators:
     )
 
 
-_EQUAL_TIME_SLOTS = {
-    "qq": (0, 0),
-    "pp": (1, 1),
-    "QQ": (2, 2),
-    "PP": (3, 3),
-    "qQ": (0, 2),
-    "Pq": (0, 3),
-    "pQ": (2, 1),
-    "pP": (1, 3),
+# hybrid moment name -> (row, column) of the mapped classical covariance
+EQUAL_TIME_SLOTS = {
+    "qq": (0, 0), "pp": (1, 1), "QQ": (2, 2), "PP": (3, 3),
+    "qQ": (0, 2), "Pq": (0, 3), "pQ": (2, 1), "pP": (1, 3),
 }
 
 
@@ -302,7 +297,7 @@ def hybrid_equal_time(cq: CQParams) -> dict[str, float]:
         At lam = 0 (the closed forms carry 1/lam factors).
     """
     cov = closed_form_covariances(map_to_classical(cq))
-    return {name: float(cov[idx]) for name, idx in _EQUAL_TIME_SLOTS.items()}
+    return {name: float(cov[idx]) for name, idx in EQUAL_TIME_SLOTS.items()}
 
 
 def gibbs_covariances(params: SystemParams, temperature: float) -> np.ndarray:
@@ -315,16 +310,7 @@ def gibbs_covariances(params: SystemParams, temperature: float) -> np.ndarray:
     """
     if temperature <= 0 or not math.isfinite(temperature):
         raise ValueError("temperature must be positive and finite")
-    o1, o2, lam = params.osc1, params.osc2, params.coupling
-    weight = np.array(
-        [
-            [o1.spring_constant + lam, 0.0, -lam, 0.0],
-            [0.0, 1.0 / o1.mass, 0.0, 0.0],
-            [-lam, 0.0, o2.spring_constant + lam, 0.0],
-            [0.0, 0.0, 0.0, 1.0 / o2.mass],
-        ]
-    )
-    return temperature * np.linalg.inv(weight)
+    return temperature * np.linalg.inv(energy_weight_matrix(params))
 
 
 def high_temperature_forms(cq: CQParams) -> dict[str, float]:
@@ -376,28 +362,21 @@ def thermal_limit(cq: CQParams) -> ThermalReport:
     1/D; the normalised deviations shrink like 1/D^2.
     """
     t_c = cq.effective_temperature
-    mapped = map_to_classical(cq)
     exact = hybrid_equal_time(cq)
-    gibbs_cov = gibbs_covariances(mapped, t_c)
-    gibbs = {name: float(gibbs_cov[idx]) for name, idx in _EQUAL_TIME_SLOTS.items()}
+    gibbs_cov = gibbs_covariances(map_to_classical(cq), t_c)
+    gibbs = {name: float(gibbs_cov[idx]) for name, idx in EQUAL_TIME_SLOTS.items()}
     high_t = high_temperature_forms(cq)
 
-    diag_of = {
-        "qq": ("qq", "qq"), "pp": ("pp", "pp"), "QQ": ("QQ", "QQ"), "PP": ("PP", "PP"),
-        "qQ": ("qq", "QQ"), "Pq": ("qq", "PP"), "pQ": ("pp", "QQ"), "pP": ("pp", "PP"),
-    }
-
     def normalised(reference: dict) -> dict:
+        # a moment the reference omits counts as zero there
         out = {}
-        for name in _EQUAL_TIME_SLOTS:
-            ref = reference.get(name, 0.0)
-            ii, jj = diag_of[name]
-            scale = math.sqrt(gibbs[ii] * gibbs[jj])
-            out[name] = abs(exact[name] - ref) / scale
+        for name, (i, j) in EQUAL_TIME_SLOTS.items():
+            scale = math.sqrt(gibbs_cov[i, i] * gibbs_cov[j, j])
+            out[name] = abs(exact[name] - reference.get(name, 0.0)) / scale
         return out
 
     dev_gibbs = normalised(gibbs)
-    dev_high_t = normalised({**{k: 0.0 for k in _EQUAL_TIME_SLOTS}, **high_t})
+    dev_high_t = normalised(high_t)
     return ThermalReport(
         temperature=float(t_c),
         equal_time=exact,

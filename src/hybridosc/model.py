@@ -248,3 +248,16 @@ def characteristic_polynomial(params: SystemParams) -> np.ndarray:
             w1s * w2s + w2s * l1 + w1s * l2,
         ]
     )
+
+
+def energy_weight_matrix(params: SystemParams) -> np.ndarray:
+    """W such that the total energy is z^T W z / 2 in (q1, p1, q2, p2) order."""
+    o1, o2, lam = params.osc1, params.osc2, params.coupling
+    return np.array(
+        [
+            [o1.spring_constant + lam, 0.0, -lam, 0.0],
+            [0.0, 1.0 / o1.mass, 0.0, 0.0],
+            [-lam, 0.0, o2.spring_constant + lam, 0.0],
+            [0.0, 0.0, 0.0, 1.0 / o2.mass],
+        ]
+    )

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalOverflow
-from .model import DriftNoise, SystemParams
+from .model import DriftNoise, SystemParams, energy_weight_matrix
 
 # fixed work decomposition; part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
@@ -36,10 +37,11 @@ DT_ERROR_FACTOR = 1.0
 
 
 def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("HYBRID_OSC_THREADS")
-    return max(1, int(env)) if env else 1
+    value = threads if threads is not None else os.environ.get("HYBRID_OSC_THREADS") or 1
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ValueError(f"HYBRID_OSC_THREADS must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -129,19 +131,6 @@ class EnsembleStats:
             row += [self.cov_stderr[k, i, j] for _, i, j in self._CSV_MOMENTS]
             row.append(self.energy_stderr[k])
             stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def energy_weight_matrix(params: SystemParams) -> np.ndarray:
-    """W such that the total energy is z^T W z / 2 in (q1, p1, q2, p2) order."""
-    o1, o2, lam = params.osc1, params.osc2, params.coupling
-    return np.array(
-        [
-            [o1.spring_constant + lam, 0.0, -lam, 0.0],
-            [0.0, 1.0 / o1.mass, 0.0, 0.0],
-            [-lam, 0.0, o2.spring_constant + lam, 0.0],
-            [0.0, 0.0, 0.0, 1.0 / o2.mass],
-        ]
-    )
 
 
 def total_energy(params: SystemParams, states: np.ndarray) -> np.ndarray:
@@ -240,14 +229,15 @@ class _MomentAccumulator:
         self.count = total
 
 
-def _run_chunk(
-    dn: DriftNoise,
-    cfg: SimConfig,
-    indices: range,
-    output_steps: np.ndarray,
-    weight: np.ndarray | None,
-):
-    """Integrate one contiguous block of trajectories; returns accumulators per output step."""
+def _finite(z: np.ndarray, indices: range, t: float) -> np.ndarray:
+    if not np.isfinite(z).all():
+        bad = int(indices[np.flatnonzero(~np.isfinite(z).all(axis=1))[0]])
+        raise NumericalOverflow(f"trajectory {bad} overflowed near t = {t:.6g}")
+    return z
+
+
+def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndarray):
+    """Step trajectories ``indices`` together, one row of ``z`` each; yield (k, z) at output k."""
     dt = cfg.dt
     theta_dt_t = (dn.theta * dt).T
     noise_t = dn.sigma.T * np.sqrt(dt)
@@ -264,27 +254,10 @@ def _run_chunk(
     else:
         z = np.zeros((n_traj, 4))
 
-    accs = [_MomentAccumulator() for _ in output_steps]
     out_pos = {int(s): k for k, s in enumerate(output_steps)}
-
-    def record(step: int) -> None:
-        k = out_pos.get(step)
-        if k is None:
-            return
-        if not np.isfinite(z).all():
-            bad = int(indices[np.flatnonzero(~np.isfinite(z).all(axis=1))[0]])
-            raise NumericalOverflow(
-                f"trajectory {bad} overflowed near t = {step * dt:.6g}"
-            )
-        if weight is not None:
-            energies = 0.5 * np.einsum("ti,ij,tj->t", z, weight, z)
-        else:
-            energies = np.full(n_traj, np.nan)
-        accs[k].add_batch(z, energies)
-
-    record(0)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        yield 0, _finite(z, indices, 0.0)
         while step < n_steps:
             block = min(BLOCK_STEPS, n_steps - step)
             noise = np.empty((block, n_traj, 4))
@@ -293,40 +266,64 @@ def _run_chunk(
             for b in range(block):
                 z = z - z @ theta_dt_t + noise[b] @ noise_t
                 step += 1
-                record(step)
+                k = out_pos.get(step)
+                if k is not None:
+                    yield k, _finite(z, indices, step * dt)
+
+
+def _run_chunk(
+    dn: DriftNoise,
+    cfg: SimConfig,
+    indices: range,
+    output_steps: np.ndarray,
+    weight: np.ndarray,
+):
+    """Integrate one contiguous block of trajectories; returns accumulators per output step."""
+    accs = [_MomentAccumulator() for _ in output_steps]
+    for k, z in _steps(dn, cfg, indices, output_steps):
+        accs[k].add_batch(z, 0.5 * np.einsum("ti,ij,tj->t", z, weight, z))
     return accs
+
+
+def _in_chunk_order(pool: ThreadPoolExecutor, run, chunks: list, window: int):
+    """Yield ``run(chunk)`` in chunk order with at most ``window`` chunks in flight."""
+    pending: deque = deque()
+    for chunk in chunks:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(run, chunk))
+    while pending:
+        yield pending.popleft().result()
 
 
 def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None) -> EnsembleStats:
     """Integrate an ensemble and return streaming moment statistics.
 
-    Trajectories are partitioned into fixed-size chunks; chunks may run on a
+    Trajectories are partitioned into fixed-size chunks; chunks run on a
     thread pool (capped by ``threads`` or the HYBRID_OSC_THREADS environment
-    variable) but are always merged in chunk order, so the result does not
-    depend on the thread count.
+    variable) and are merged in chunk order as they arrive, so the result
+    does not depend on the thread count and at most one unmerged chunk
+    result per worker is held at a time.
     """
     _check_step_size(dn, cfg)
     stride = cfg.resolved_stride()
     output_steps = _output_steps(cfg.n_steps, stride)
-    weight = energy_weight_matrix(dn.params) if dn.params is not None else None
+    # without parameters there is no energy: a NaN weight carries NaN through
+    weight = energy_weight_matrix(dn.params) if dn.params is not None else np.full((4, 4), np.nan)
 
     chunks = [
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
     ]
     n_workers = min(_thread_count(threads), len(chunks))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_chunk = list(pool.map(
-                lambda idx: _run_chunk(dn, cfg, idx, output_steps, weight), chunks
-            ))
-    else:
-        per_chunk = [_run_chunk(dn, cfg, idx, output_steps, weight) for idx in chunks]
-
-    totals = per_chunk[0]
-    for chunk_accs in per_chunk[1:]:
-        for acc, extra in zip(totals, chunk_accs):
-            acc.merge(extra)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        results = _in_chunk_order(
+            pool, lambda idx: _run_chunk(dn, cfg, idx, output_steps, weight), chunks, n_workers
+        )
+        totals = next(results)
+        for chunk_accs in results:
+            for acc, extra in zip(totals, chunk_accs):
+                acc.merge(extra)
 
     n = cfg.n_trajectories
     n_out = len(output_steps)
@@ -347,8 +344,6 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None
         mean_stderr = np.full((n_out, 4), np.nan)
         energy_stderr = np.full(n_out, np.nan)
     energy_mean = np.array([acc.e_mean for acc in totals])
-    if weight is None:
-        energy_mean = np.full(n_out, np.nan)
 
     return EnsembleStats(
         times=times,
@@ -365,44 +360,17 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None
 def sample_trajectory(dn: DriftNoise, cfg: SimConfig, index: int):
     """Integrate the single trajectory ``index`` of the ensemble.
 
-    Returns (times, states) sampled at the output stride.  The path is
-    bitwise identical to ensemble member ``index`` for the same config.
+    Returns (times, states) sampled at the output stride.  The path uses the
+    ensemble's noise substream and stepping kernel.  It is bitwise identical
+    to ensemble member ``index`` when that member's chunk holds one
+    trajectory; otherwise the chunk steps an n-row matrix, whose products
+    round differently from one row, and the two agree to a few ulp.
     """
     _check_step_size(dn, cfg)
     if not 0 <= index < cfg.n_trajectories:
         raise ValueError(f"index {index} outside [0, {cfg.n_trajectories})")
-    dt = cfg.dt
-    theta_dt_t = (dn.theta * dt).T
-    noise_t = dn.sigma.T * np.sqrt(dt)
-    n_steps = cfg.n_steps
-    stride = cfg.resolved_stride()
-    output_steps = _output_steps(n_steps, stride)
-    rng = _trajectory_rng(cfg.seed, index)
-
-    if cfg.initial_state is not None:
-        z = np.asarray(cfg.initial_state, dtype=float).reshape(4).copy()
-    elif cfg.initial_mean is not None:
-        factor = _gaussian_factor(cfg.initial_cov)
-        z = np.asarray(cfg.initial_mean, dtype=float).reshape(4) + factor @ rng.standard_normal(4)
-    else:
-        z = np.zeros(4)
-
+    output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
     states = np.empty((len(output_steps), 4))
-    out_pos = {int(s): k for k, s in enumerate(output_steps)}
-    states[0] = z
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < n_steps:
-            block = min(BLOCK_STEPS, n_steps - step)
-            noise = rng.standard_normal((block, 4))
-            for b in range(block):
-                z = z - z @ theta_dt_t + noise[b] @ noise_t
-                step += 1
-                k = out_pos.get(step)
-                if k is not None:
-                    if not np.isfinite(z).all():
-                        raise NumericalOverflow(
-                            f"trajectory {index} overflowed near t = {step * dt:.6g}"
-                        )
-                    states[k] = z
-    return output_steps * dt, states
+    for k, z in _steps(dn, cfg, range(index, index + 1), output_steps):
+        states[k] = z[0]
+    return output_steps * cfg.dt, states

@@ -207,16 +207,11 @@ def _polyval(coeffs: np.ndarray, x):
     return out
 
 
-def _polyder(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    return coeffs[:-1] * np.arange(n, 0, -1)
-
-
 def _upper_roots(params: SystemParams) -> np.ndarray:
     """Roots of the response denominator, Newton-polished, sorted by real part."""
     coeffs = response_denominator_coefficients(params)
     roots = np.roots(coeffs)
-    deriv = _polyder(coeffs)
+    deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
     for _ in range(_NEWTON_ROUNDS):
         slope = _polyval(deriv, roots)
         ok = np.abs(slope) > 0
@@ -238,11 +233,6 @@ class PoleSet:
     omega2: complex
     upper_roots: np.ndarray
 
-    @property
-    def lower_roots(self) -> np.ndarray:
-        """Roots of the coefficient-conjugated denominator."""
-        return np.conj(self.upper_roots)
-
     def to_dict(self) -> dict:
         return {
             "omega1": {"re": self.omega1.real, "im": self.omega1.imag},
@@ -256,14 +246,10 @@ def _root_scale(roots: np.ndarray) -> float:
 
 
 def _check_separation(roots: np.ndarray, context: str) -> None:
-    n = len(roots)
-    scale = _root_scale(roots)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < _SEPARATION_TOL * scale:
-                raise DegeneratePoles(
-                    f"{context}: poles {roots[i]:.6g} and {roots[j]:.6g} nearly coincide"
-                )
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(len(roots), np.inf))
+    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[i, j] < _SEPARATION_TOL * _root_scale(roots):
+        raise DegeneratePoles(f"{context}: poles {roots[i]:.6g} and {roots[j]:.6g} nearly coincide")
 
 
 def find_poles(params: SystemParams) -> PoleSet:
@@ -419,6 +405,24 @@ def _numerators(params: SystemParams) -> dict[str, np.ndarray]:
     }
 
 
+def _stable_poles(params: SystemParams, context: str):
+    """Roots of D, roots of |D|^2 and their leads, or PoleOnAxis / DegeneratePoles."""
+    roots_up = _upper_roots(params)
+    if np.any(roots_up.imag <= 0.0):
+        raise PoleOnAxis(f"{context}: requires a strictly stable system (all poles off axis)")
+    roots_all = np.concatenate([roots_up, np.conj(roots_up)])
+    _check_separation(roots_all, context)
+    lead4 = response_denominator_coefficients(params)[0]
+    return roots_up, roots_all, lead4, lead4 * np.conj(lead4)
+
+
+def _residues(num: np.ndarray, roots: np.ndarray, lead: complex) -> np.ndarray:
+    """N(p_k) / (lead * prod_{j != k} (p_k - p_j)) at every (simple) pole p_k."""
+    diffs = roots[:, None] - roots[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    return _polyval(num, roots) / (lead * np.prod(diffs, axis=1))
+
+
 def _residue_transform(num: np.ndarray, roots: np.ndarray, lead: complex, t: np.ndarray) -> np.ndarray:
     """Inverse transform of N(w) / (lead * prod (w - roots)) by residues.
 
@@ -427,18 +431,12 @@ def _residue_transform(num: np.ndarray, roots: np.ndarray, lead: complex, t: np.
     analytic derivative of the denominator.
     """
     t = np.asarray(t, dtype=float)
+    coeff = _residues(num, roots, lead)
+    upper = roots.imag > 0
     out = np.zeros(t.shape, dtype=complex)
-    neg = t < 0
-    pos = ~neg
-    for k, pk in enumerate(roots):
-        dprime = lead * np.prod(pk - np.delete(roots, k))
-        coeff = _polyval(num, pk) / dprime
-        if pk.imag > 0:
-            if neg.any():
-                out[neg] += 1j * coeff * np.exp(-1j * pk * t[neg])
-        else:
-            if pos.any():
-                out[pos] += -1j * coeff * np.exp(-1j * pk * t[pos])
+    for side, poles, factor in ((t < 0, upper, 1j), (t >= 0, ~upper, -1j)):
+        phases = np.exp(-1j * np.outer(t[side], roots[poles]))
+        out[side] = (phases * (factor * coeff[poles])).sum(axis=1)
     return out
 
 
@@ -460,16 +458,7 @@ def correlators_exact(params: SystemParams, t_grid: np.ndarray) -> CorrelatorTab
     cancel to all available precision; use the small-coupling forms there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    roots_up = _upper_roots(params)
-    if np.any(roots_up.imag <= 0.0):
-        raise PoleOnAxis("correlators require a strictly stable system (all poles off axis)")
-    roots_lo = np.conj(roots_up)
-    roots_all = np.concatenate([roots_up, roots_lo])
-    _check_separation(roots_all, "correlators_exact")
-
-    coeffs = response_denominator_coefficients(params)
-    lead4 = coeffs[0]
-    lead8 = lead4 * np.conj(lead4)
+    roots_up, roots_all, lead4, lead8 = _stable_poles(params, "correlators_exact")
     nums = _numerators(params)
 
     values: dict[str, np.ndarray] = {}
@@ -477,9 +466,8 @@ def correlators_exact(params: SystemParams, t_grid: np.ndarray) -> CorrelatorTab
         raw = _residue_transform(nums[name], roots_all, lead8, t_grid)
         values[name] = _real_part(raw, name)
     for name in ("response_11", "response_22", "response_21"):
-        raw = _residue_transform(nums[name], roots_up, lead4, t_grid)
-        raw[t_grid >= 0] = 0.0
-        values[name] = _real_part(raw, name)
+        # all poles are upper, so the transform vanishes for t >= 0
+        values[name] = _real_part(_residue_transform(nums[name], roots_up, lead4, t_grid), name)
     return CorrelatorTable(times=t_grid, method="exact-residue", **values)
 
 
@@ -490,33 +478,17 @@ def exact_equal_time(params: SystemParams) -> dict[str, float]:
     derivatives that map onto the position-momentum covariances:
     m2 * d/dt g12(0+) = E[q1 p2] and m1 * d/dt g21(0+) = E[q2 p1].
     """
-    roots_up = _upper_roots(params)
-    if np.any(roots_up.imag <= 0.0):
-        raise PoleOnAxis("equal-time values require a strictly stable system")
-    roots_all = np.concatenate([roots_up, np.conj(roots_up)])
-    _check_separation(roots_all, "exact_equal_time")
-    coeffs = response_denominator_coefficients(params)
-    lead8 = coeffs[0] * np.conj(coeffs[0])
+    _, roots_all, _, lead8 = _stable_poles(params, "exact_equal_time")
     nums = _numerators(params)
-
-    lower_idx = np.flatnonzero(roots_all.imag < 0)
-
-    def value_and_slope(num):
-        val = 0.0 + 0.0j
-        slope = 0.0 + 0.0j
-        for k in lower_idx:
-            pk = roots_all[k]
-            dprime = lead8 * np.prod(pk - np.delete(roots_all, k))
-            coeff = _polyval(num, pk) / dprime
-            val += -1j * coeff
-            slope += -1j * coeff * (-1j * pk)
-        return val, slope
+    lower = roots_all.imag < 0
+    poles = roots_all[lower]
 
     out: dict[str, float] = {}
     for name in ("g11", "g22", "g12", "g21"):
-        val, slope = value_and_slope(nums[name])
-        out[name + "_0"] = float(val.real)
-        out["d" + name + "_dt0"] = float(slope.real)
+        # the t >= 0 branch of the residue transform and its derivative at t = 0
+        coeff = -1j * _residues(nums[name], roots_all, lead8)[lower]
+        out[name + "_0"] = float(coeff.sum().real)
+        out["d" + name + "_dt0"] = float((coeff * (-1j * poles)).sum().real)
     m1, m2 = params.osc1.mass, params.osc2.mass
     out["q1p2"] = m2 * out["dg12_dt0"]
     out["q2p1"] = m1 * out["dg21_dt0"]

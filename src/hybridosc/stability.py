@@ -4,10 +4,10 @@ An OU process has a (Gaussian) stationary state iff every eigenvalue of the
 drift matrix has strictly positive real part.  For this model the
 characteristic quartic is simple enough that the Routh-Hurwitz conditions
 collapse to coefficient positivity plus two reduced inequalities, and the
-certificate can be evaluated without touching an eigensolver.  A dense
-eigenvalue computation is still performed and cross-checked against the
-quartic roots, so the report carries both the algebraic verdict and the
-spectrum it certifies.
+certificate can be evaluated without touching an eigensolver; the Lyapunov
+solve uses only that verdict.  :func:`routh_hurwitz` also cross-checks a dense
+eigenvalue computation against the quartic roots, so its report carries both
+the algebraic verdict and the spectrum it certifies.
 """
 
 from __future__ import annotations
@@ -53,36 +53,40 @@ def _sorted_complex(values: np.ndarray) -> np.ndarray:
     return np.asarray(sorted(values, key=lambda z: (round(z.real, 12), z.imag)))
 
 
+def _hurwitz_criteria(params: SystemParams) -> tuple[dict[str, float], bool]:
+    """The six criteria and the verdict (all > 0), without an eigensolver."""
+    _, c3, c2, c1, c0 = characteristic_polynomial(params)
+    l2 = params.coupling / params.osc2.mass
+    criteria = {
+        # coefficients of P(-theta): all must be positive for Hurwitz stability
+        "coeff_theta3": float(-c3),
+        "coeff_theta2": float(c2),
+        "coeff_theta1": float(-c1),
+        "coeff_theta0": float(c0),
+        "reduced_1": (params.osc2.frequency**2 + l2) ** 2 + l2**2,
+        "reduced_2": l2**2,
+    }
+    return criteria, all(v > 0.0 for v in criteria.values())
+
+
 def routh_hurwitz(params: SystemParams) -> StabilityReport:
     """Certify existence of the steady state.
 
-    The conditions are evaluated on the sign-flipped quartic (the one whose
-    roots must have negative real parts): positivity of all four non-leading
-    coefficients, plus the two reduced conditions
+    The conditions are evaluated on the sign-flipped quartic theta^4 +
+    a3 theta^3 + a2 theta^2 + a1 theta + a0 (whose roots must have negative
+    real parts): positivity of a3..a0, plus the two reduced conditions
 
         (w2^2 + lam/m2)^2 + (lam/m2)^2 > 0   and   (lam/m2)^2 > 0.
+
+    The second implies the first.  Given coefficient positivity the pair is
+    equivalent to the Hurwitz minor a3 a2 a1 - a1^2 - a3^2 a0, which for this
+    quartic is exactly gamma1^2 lam^2 / (m1 m2), being > 0.
 
     All are strict; zero coupling or zero damping therefore reports
     ``pass=False`` with reason "marginal" rather than raising, because those
     limits are physically meaningful elsewhere in the package.
     """
-    o1, o2, lam = params.osc1, params.osc2, params.coupling
-    g1 = o1.damping_rate
-    w1s = o1.frequency**2
-    w2s = o2.frequency**2
-    l1 = lam / o1.mass
-    l2 = lam / o2.mass
-
-    criteria = {
-        # coefficients of P(-theta): all must be positive for Hurwitz stability
-        "coeff_theta3": g1,
-        "coeff_theta2": w1s + w2s + l1 + l2,
-        "coeff_theta1": g1 * (w2s + l2),
-        "coeff_theta0": w1s * w2s + w2s * l1 + w1s * l2,
-        "reduced_1": (w2s + l2) ** 2 + l2**2,
-        "reduced_2": l2**2,
-    }
-    passed = all(v > 0.0 for v in criteria.values())
+    criteria, passed = _hurwitz_criteria(params)
 
     dn = assemble_drift_noise(params)
     eigs = _sorted_complex(np.linalg.eigvals(dn.theta))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CouplingZero, NotStable, SingularSystem
 from .model import DriftNoise, SystemParams
-from .stability import routh_hurwitz
+from .stability import _hurwitz_criteria
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -59,9 +59,8 @@ def solve_lyapunov(dn: DriftNoise) -> np.ndarray:
         tolerance.
     """
     if dn.params is not None:
-        report = routh_hurwitz(dn.params)
-        if not report.routh_hurwitz_pass:
-            raise NotStable(f"no steady state: stability certificate fails ({report.reason})")
+        if not _hurwitz_criteria(dn.params)[1]:
+            raise NotStable("no steady state: stability certificate fails (marginal)")
     else:
         eigs = np.linalg.eigvals(dn.theta)
         if eigs.real.min() <= 0.0:
@@ -155,10 +154,24 @@ def closed_form_covariances(params: SystemParams) -> np.ndarray:
     return cov
 
 
-def _moment_rhs(theta: np.ndarray, q: np.ndarray, mean: np.ndarray, cov: np.ndarray):
-    dmean = -theta @ mean
-    dcov = -theta @ cov - cov @ theta.T + q
-    return dmean, dcov
+def _rk4_covariances(thetas, diffusions, cov, h, n_steps: int) -> np.ndarray:
+    """``n_steps`` RK4 steps of dC/dt = -theta C - C theta^T + Q, symmetrised each step.
+
+    Takes one system (4x4) or a batch (n x 4 x 4, ``h`` of shape (n, 1, 1)).
+    """
+    theta_t = np.swapaxes(thetas, -1, -2)
+
+    def rhs(c):
+        return -(thetas @ c) - (c @ theta_t) + diffusions
+
+    for _ in range(n_steps):
+        k1 = rhs(cov)
+        k2 = rhs(cov + 0.5 * h * k1)
+        k3 = rhs(cov + 0.5 * h * k2)
+        k4 = rhs(cov + h * k3)
+        cov = cov + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return cov
 
 
 def evolve_moments(
@@ -202,13 +215,12 @@ def evolve_moments(
         n_sub = max(1, int(np.ceil(span / max_step)))
         h = span / n_sub
         for _ in range(n_sub):
-            k1m, k1c = _moment_rhs(theta, q, mean, cov)
-            k2m, k2c = _moment_rhs(theta, q, mean + 0.5 * h * k1m, cov + 0.5 * h * k1c)
-            k3m, k3c = _moment_rhs(theta, q, mean + 0.5 * h * k2m, cov + 0.5 * h * k2c)
-            k4m, k4c = _moment_rhs(theta, q, mean + h * k3m, cov + h * k3c)
-            mean = mean + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-            cov = cov + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-            cov = 0.5 * (cov + cov.T)
+            k1 = -theta @ mean
+            k2 = -theta @ (mean + 0.5 * h * k1)
+            k3 = -theta @ (mean + 0.5 * h * k2)
+            k4 = -theta @ (mean + h * k3)
+            mean = mean + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        cov = _rk4_covariances(theta, q, cov, h, n_sub)
         means[idx], covs[idx] = mean, cov
     return means, covs
 
@@ -225,25 +237,12 @@ def evolve_covariances_batch(
     Each system b is integrated from ``cov0[b]`` (zero if omitted) to its own
     ``t_final[b]`` in ``n_steps`` equal steps.  Used by sweep studies and the
     acceptance checks, where evolving 10^3 systems one by one would be
-    needlessly slow; the single-system :func:`evolve_moments` is the
-    readable reference implementation.
+    needlessly slow.  :func:`evolve_moments` steps its covariance with the
+    same integrator.
     """
     thetas = np.asarray(thetas, dtype=float)
     diffusions = np.asarray(diffusions, dtype=float)
     n = thetas.shape[0]
     t_final = np.asarray(t_final, dtype=float).reshape(n, 1, 1)
     cov = np.zeros_like(thetas) if cov0 is None else np.array(cov0, dtype=float)
-    h = t_final / n_steps
-    theta_t = np.swapaxes(thetas, 1, 2)
-
-    def rhs(c):
-        return -(thetas @ c) - (c @ theta_t) + diffusions
-
-    for _ in range(n_steps):
-        k1 = rhs(cov)
-        k2 = rhs(cov + 0.5 * h * k1)
-        k3 = rhs(cov + 0.5 * h * k2)
-        k4 = rhs(cov + h * k3)
-        cov = cov + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-    return cov
+    return _rk4_covariances(thetas, diffusions, cov, t_final / n_steps, n_steps)

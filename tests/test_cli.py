@@ -168,3 +168,33 @@ def test_verify_failure_exit_code(tmp_path):
 def test_output_directory_must_exist(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.json"
     assert run_cli(["-o", str(missing), "stability"]) == EXIT_CONFIG
+
+
+def _single_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+
+
+def test_bad_thread_environment_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HYBRID_OSC_THREADS", "abc")
+    code = run_cli([
+        "-o", str(tmp_path / "s.csv"), "simulate", "--dt", "0.01", "--t-final", "0.1",
+        "--n-trajectories", "4",
+    ])
+    assert code == EXIT_CONFIG
+    _single_config_error(capsys)
+
+
+def test_zero_correlator_points_is_config_error(tmp_path, capsys):
+    assert run_cli(["-o", str(tmp_path / "c.csv"), "correlators", "--points", "0"]) == EXIT_CONFIG
+    _single_config_error(capsys)
+
+
+def test_unstable_step_size_is_config_error(tmp_path, capsys):
+    code = run_cli([
+        "-o", str(tmp_path / "s.csv"), "simulate", "--dt", "2", "--t-final", "4",
+        "--n-trajectories", "4",
+    ])
+    assert code == EXIT_CONFIG
+    _single_config_error(capsys)

@@ -269,3 +269,12 @@ def test_equipartition_at_high_diffusion():
     assert moments["PP"] / cq.quantum_mass == pytest.approx(
         moments["pp"] / cq.classical_mass, rel=1e-4
     )
+
+
+def test_gibbs_covariances_invert_the_energy_weight_matrix():
+    from hybridosc.model import energy_weight_matrix
+
+    params = map_to_classical(natural_cq(coupling=0.3, diffusion=2.0))
+    np.testing.assert_array_equal(
+        gibbs_covariances(params, 1.7), 1.7 * np.linalg.inv(energy_weight_matrix(params))
+    )

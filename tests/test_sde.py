@@ -204,3 +204,50 @@ def test_csv_output_shape(tmp_path):
     assert "var_q1" in header and "cov_q1q2" in header and "energy" in header
     assert "var_q1_stderr" in header and "energy_stderr" in header
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+
+def test_sample_trajectory_matches_member_of_multi_trajectory_chunk():
+    # a chunk steps an n-row matrix, which rounds differently from one row;
+    # the single path must still track its row of the shared kernel closely
+    from hybridosc import sde
+
+    params = SystemParams.natural_units(0.05)
+    dn = assemble_drift_noise(params)
+    cfg = SimConfig(
+        dt=1e-2, t_final=20.0, n_trajectories=300, seed=4,
+        initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=25,
+    )
+    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    index = 211
+    member = np.empty((len(output_steps), 4))
+    for k, z in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
+        member[k] = z[index]
+    _, path = sample_trajectory(dn, cfg, index)
+    assert np.max(np.abs(path - member)) <= 1e-12 * np.max(np.abs(member))
+
+
+def test_chunks_merge_in_order_with_bounded_window():
+    from concurrent.futures import ThreadPoolExecutor
+
+    from hybridosc import sde
+
+    started = []
+
+    def run(chunk):
+        started.append(chunk)
+        return chunk * 10
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = []
+        for value in sde._in_chunk_order(pool, run, list(range(7)), 2):
+            # at most `window` chunks are submitted but not yet handed back
+            assert len(started) - len(results) <= 2
+            results.append(value)
+    assert results == [c * 10 for c in range(7)]
+
+
+def test_bad_thread_environment_is_a_value_error(monkeypatch):
+    monkeypatch.setenv("HYBRID_OSC_THREADS", "abc")
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3))
+    with pytest.raises(ValueError, match="HYBRID_OSC_THREADS"):
+        simulate_ensemble(dn, SimConfig(dt=1e-2, t_final=0.1, n_trajectories=2, seed=0))

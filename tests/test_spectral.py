@@ -430,3 +430,14 @@ def test_exact_route_agrees_with_small_lambda():
     assert mutual_information(params, (2, 2), 0.9, exact=True) == pytest.approx(
         mutual_information(params, (2, 2), 0.9), rel=0.06
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=spectral_params)
+def test_equal_time_equals_correlators_at_zero(params):
+    # both are the same residue sum at t = 0
+    eq = exact_equal_time(params)
+    table = correlators_exact(params, np.array([0.0]))
+    for name in ("g11", "g22", "g12", "g21"):
+        value = getattr(table, name)[0]
+        assert abs(eq[name + "_0"] - value) <= 1e-13 * abs(value)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridosc import routh_hurwitz
+from hybridosc import characteristic_polynomial, routh_hurwitz
+from hybridosc.stability import _hurwitz_criteria
 
 from conftest import draw_stable, make_params, stable_params
 
@@ -95,3 +97,34 @@ def test_report_serialises():
         "reduced_1",
         "reduced_2",
     }
+
+
+_edge_params = st.builds(
+    make_params,
+    m1=st.floats(0.3, 3.0),
+    k1=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.3, 3.0),
+    alpha=st.sampled_from([0.0]) | st.floats(0.05, 2.5),
+    d1=st.floats(0.0, 2.0),
+    m2=st.floats(0.3, 3.0),
+    k2=st.sampled_from([0.0]) | st.floats(0.3, 3.0),
+    d2=st.floats(0.0, 2.0),
+    lam=st.sampled_from([0.0]) | st.floats(0.01, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_edge_params)
+def test_reduced_conditions_are_the_hurwitz_minor(params):
+    # for P(-theta) = theta^4 + a3 theta^3 + a2 theta^2 + a1 theta + a0 the
+    # Hurwitz minor a3 a2 a1 - a1^2 - a3^2 a0 equals gamma1^2 lam^2 / (m1 m2)
+    _, c3, a2, c1, a0 = characteristic_polynomial(params)
+    a3, a1 = -c3, -c1
+    minor = a3 * a2 * a1 - a1**2 - a3**2 * a0
+    o1, o2, lam = params.osc1, params.osc2, params.coupling
+    exact = o1.damping_rate**2 * lam**2 / (o1.mass * o2.mass)
+    assert minor == pytest.approx(exact, rel=1e-9, abs=1e-12 * a3 * a2 * a1)
+
+    criteria, passed = _hurwitz_criteria(params)
+    assert criteria["reduced_1"] > 0 or (o2.frequency == 0 and lam == 0)
+    coefficients_positive = min(a3, a2, a1, a0) > 0
+    assert passed == (coefficients_positive and exact > 0)

@@ -199,3 +199,34 @@ def test_momentum_variance_identity_all_routes():
     expected = (o1.diffusion + o1.mass / o2.mass * o2.diffusion) / (2 * o1.damping_rate)
     assert closed_form_covariances(params)[1, 1] == pytest.approx(expected, rel=1e-12)
     assert solve_lyapunov(assemble_drift_noise(params))[1, 1] == pytest.approx(expected, rel=1e-10)
+
+
+def test_batch_of_one_equals_evolve_moments_bitwise():
+    # both routes step the covariance with the same RK4 kernel
+    from hybridosc.steadystate import evolve_covariances_batch
+
+    params = make_params(1.2, 0.9, 0.7, 1.3, 0.8, 1.1, 0.6, 0.45)
+    dn = assemble_drift_noise(params)
+    cov0 = np.diag([0.3, 0.1, 0.2, 0.4])
+    t_end, max_step = 7.3, 0.05
+    _, covs = evolve_moments(dn, cov0, np.zeros(4), np.array([0.0, t_end]), max_step=max_step)
+    n_steps = int(np.ceil(t_end / max_step))
+    batch = evolve_covariances_batch(
+        dn.theta[None], dn.diffusion_matrix[None], np.array([t_end]), n_steps, cov0[None]
+    )
+    assert np.array_equal(batch[0], covs[-1])
+
+
+def test_solve_lyapunov_certificate_is_arithmetic_only(monkeypatch):
+    params = make_params(1.2, 0.9, 0.7, 1.3, 0.8, 1.1, 0.6, 0.45)
+    dn = assemble_drift_noise(params)
+    expected = solve_lyapunov(dn)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verdict must not need a spectrum")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    monkeypatch.setattr(np, "roots", forbidden)
+    assert np.array_equal(solve_lyapunov(dn), expected)
+    with pytest.raises(NotStable):
+        solve_lyapunov(assemble_drift_noise(make_params(1, 1, 1, 1, 1, 1, 1, 0.0)))
