@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import cq as cq_mod
-from . import sde, spectral, stability, steadystate
+from . import sde, spectral, stability, steadystate, verify
 from .errors import HybridOscError
-from .model import SystemParams, assemble_drift_noise, characteristic_polynomial
+from .model import SystemParams, assemble_drift_noise
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -257,191 +257,13 @@ def _cmd_cq(args, config) -> int:
 # verify
 
 
-def _verify_checks(params: SystemParams, seed: int, mc_trajectories: int, tol_scale: float):
-    """Run the full cross-check suite; yields (name, value, bound, passed)."""
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, float, float, bool]] = []
-
-    def add(name: str, value: float, bound: float):
-        checks.append((name, float(value), float(bound), bool(value <= bound * tol_scale)))
-
-    # stability: algebraic certificate vs dense spectrum
-    disagreements = 0
-    for _ in range(2000):
-        draw = SystemParams.from_dict(
-            {
-                "m1": rng.uniform(0.2, 5), "k1": rng.uniform(0.2, 5),
-                "alpha": rng.uniform(0.2, 5), "D1": rng.uniform(0, 2),
-                "m2": rng.uniform(0.2, 5), "k2": rng.uniform(0.2, 5),
-                "D2": rng.uniform(0, 2), "lambda": rng.uniform(0.05, 5),
-            }
-        )
-        report = stability.routh_hurwitz(draw)
-        if report.routh_hurwitz_pass != (report.min_real_part > 1e-12):
-            if abs(report.min_real_part) > 1e-9:
-                disagreements += 1
-    add("stability_certificate_agreement", disagreements, 0)
-
-    # characteristic polynomial roots == drift eigenvalues
-    roots = np.sort_complex(np.roots(characteristic_polynomial(params)))
-    eigs = np.sort_complex(np.linalg.eigvals(assemble_drift_noise(params).theta))
-    add("charpoly_vs_eigenvalues", np.max(np.abs(roots - eigs)), 1e-9)
-
-    # Lyapunov triangle on the configured system
-    dn = assemble_drift_noise(params)
-    solved = steadystate.solve_lyapunov(dn)
-    closed = steadystate.closed_form_covariances(params)
-    scale = float(np.max(np.abs(solved)))
-    add("closed_form_vs_lyapunov", np.max(np.abs(closed - solved)) / scale, 1e-8)
-    min_rate = float(np.min(np.linalg.eigvals(dn.theta).real))
-    t_relax = 15.0 / min_rate
-    _, covs = steadystate.evolve_moments(
-        dn, np.zeros((4, 4)), np.zeros(4), np.array([0.0, t_relax]),
-        max_step=0.8 / float(np.max(np.abs(np.linalg.eigvals(dn.theta)))),
-    )
-    add("moment_flow_vs_lyapunov", np.max(np.abs(covs[-1] - solved)) / scale, 1e-8)
-
-    # spectral: closed form vs numeric inversion, poles, equal-time match
-    worst = 0.0
-    for _ in range(25):
-        w = rng.uniform(-4, 4)
-        closed_g = spectral.greens(params, w).matrix
-        inverted = np.linalg.inv(spectral.greens_inverse(params, w))
-        worst = max(worst, float(np.max(np.abs(closed_g - inverted)) / np.max(np.abs(inverted))))
-    add("greens_vs_numeric_inverse", worst, 1e-10)
-
-    poles = spectral.find_poles(params)
-    coeffs = spectral.response_denominator_coefficients(params)
-    conj_residual = float(
-        np.max(np.abs(np.polyval(np.conj(coeffs), np.conj(poles.upper_roots))))
-    )
-    add("pole_reflection_structure", conj_residual / max(1.0, abs(coeffs[0])), 1e-9)
-
-    eq = spectral.exact_equal_time(params)
-    add(
-        "residue_equal_time_vs_lyapunov",
-        max(
-            abs(eq["g11_0"] - solved[0, 0]),
-            abs(eq["g22_0"] - solved[2, 2]),
-            abs(eq["g12_0"] - solved[0, 2]),
-            abs(eq["q1p2"] - solved[0, 3]),
-            abs(eq["q2p1"] - solved[2, 1]),
-        )
-        / scale,
-        1e-8,
-    )
-
-    # perturbative pole error must shrink like the cube of the coupling
-    errs = []
-    lams = np.array([0.01, 0.02, 0.04])
-    base = params.to_dict()
-    for lam in lams:
-        base["lambda"] = lam
-        p_small = SystemParams.from_dict(base)
-        exact = spectral.find_poles(p_small)
-        pert = spectral.perturbative_poles(p_small, order=2)
-        errs.append(abs(exact.omega1 - pert.omega1) + abs(exact.omega2 - pert.omega2))
-    slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
-    add("perturbative_cubic_scaling", abs(slope - 3.0), 0.2)
-
-    # small-coupling closed forms against the exact residue values
-    base["lambda"] = 0.01
-    p_small = SystemParams.from_dict(base)
-    t_probe = np.linspace(0.0, 5.0 / max(params.osc1.damping_rate, 1e-3), 7)
-    exact_tab = spectral.correlators_exact(p_small, t_probe)
-    small_tab = spectral.correlators_small_lambda(p_small, t_probe)
-    add(
-        "small_lambda_g22",
-        np.max(np.abs(exact_tab.g22 - small_tab.g22)) / np.max(np.abs(exact_tab.g22)),
-        0.05,
-    )
-    zero_tab = spectral.correlators_small_lambda(p_small, np.array([0.0]))
-    ratio = spectral.sigma_ratio(p_small)
-    add(
-        "sigma_ratio_consistency",
-        abs(ratio - np.sqrt(zero_tab.g11[0] / zero_tab.g22[0])),
-        1e-12,
-    )
-    info = spectral.mutual_information(p_small, (2, 2), np.pi / 2 / p_small.osc2.frequency)
-    add("mutual_information_zero", abs(info), 1e-12)
-
-    # Monte Carlo against the Lyapunov covariance, stationary start
-    cfg = sde.SimConfig(
-        dt=1e-3,
-        t_final=5.0,
-        n_trajectories=mc_trajectories,
-        seed=seed,
-        initial_mean=np.zeros(4),
-        initial_cov=solved,
-    )
-    stats = sde.simulate_ensemble(dn, cfg)
-    dev = np.abs(stats.cov[-1] - solved)
-    bands = 3.0 * stats.cov_stderr[-1]
-    add("monte_carlo_vs_lyapunov_sigmas", float(np.max(dev / bands)), 1.0)
-    drift = sde.energy_drift(params, stats.cov[-1])
-    drift_band = 3.0 * (params.osc1.damping / params.osc1.mass**2) * stats.cov_stderr[-1][1, 1]
-    add("energy_drift_zero", abs(drift), drift_band)
-    t_a, path_a = sde.sample_trajectory(dn, cfg, 0)
-    _, path_b = sde.sample_trajectory(dn, cfg, 0)
-    add("trajectory_determinism", float(np.max(np.abs(path_a - path_b))), 0.0)
-    del t_a
-
-    # CQ layer
-    hybrid = cq_mod.CQParams(
-        classical_mass=1.0, classical_spring=1.0, damping=1.0, diffusion=1.0,
-        quantum_mass=1.0, quantum_spring=1.0, coupling=params.coupling or 0.05,
-    )
-    # diffusion tuned so T_C = D/(2 alpha) equals omega/2 exactly
-    critical = cq_mod.CQParams(
-        classical_mass=1.0, classical_spring=1.0, damping=1.0,
-        diffusion=1.0, quantum_mass=1.0, quantum_spring=1.0, coupling=0.05,
-    )
-    occ = cq_mod.occupation_number(critical)
-    add("occupation_minimum", abs(occ.n - 0.5), 1e-12)
-    sweep = [
-        cq_mod.occupation_number(
-            cq_mod.CQParams(
-                classical_mass=1.0, classical_spring=1.0, damping=1.0,
-                diffusion=2.0 * t_c, quantum_mass=1.0, quantum_spring=1.0, coupling=0.05,
-            )
-        ).n
-        for t_c in np.geomspace(0.05, 20, 25)
-    ]
-    add("occupation_floor", 0.5 - min(sweep), 0.0)
-    mapped = cq_mod.map_to_classical(hybrid)
-    hybrid_cov = cq_mod.hybrid_equal_time(hybrid)
-    lyap = steadystate.solve_lyapunov(assemble_drift_noise(mapped))
-    h_scale = float(np.max(np.abs(lyap)))
-    add(
-        "hybrid_equal_time_vs_lyapunov",
-        max(abs(hybrid_cov[k] - lyap[idx]) for k, idx in cq_mod.EQUAL_TIME_SLOTS.items()) / h_scale,
-        1e-9,
-    )
-    tiny = cq_mod.CQParams(
-        classical_mass=1.0, classical_spring=1.0, damping=1.0, diffusion=1.0,
-        quantum_mass=1.0, quantum_spring=1.0, coupling=1e-8,
-    )
-    table = cq_mod.hybrid_correlators(tiny, np.linspace(-3, 3, 7))
-    finite = np.isfinite(table.keldysh).all() and np.isfinite(table.classical).all()
-    add("hybrid_correlators_finite_at_zero_coupling", 0.0 if finite else 1.0, 0.0)
-    devs = [
-        cq_mod.thermal_limit(
-            cq_mod.CQParams(
-                classical_mass=1.0, classical_spring=1.0, damping=1.0, diffusion=d,
-                quantum_mass=1.0, quantum_spring=1.0, coupling=0.1,
-            )
-        ).max_deviation_gibbs
-        for d in (10.0, 100.0, 1000.0, 10000.0)
-    ]
-    add("thermal_deviation_monotone", 0.0 if all(np.diff(devs) < 0) else 1.0, 0.0)
-    add("thermal_deviation_high_diffusion", devs[-1], 1e-2)
-
-    return checks
-
-
 def _cmd_verify(args, config) -> int:
     params = _system_params(args, config)
-    checks = _verify_checks(
+    try:
+        sde.thread_count(None)  # reject a bad HYBRID_OSC_THREADS before any check runs
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    checks = verify.run_checks(
         params,
         seed=args.seed if args.seed is not None else 0,
         mc_trajectories=args.mc_trajectories,
@@ -449,10 +271,8 @@ def _cmd_verify(args, config) -> int:
     )
     report = {
         "parameters": params.to_dict(),
-        "checks": [
-            {"name": n, "value": v, "bound": b, "passed": p} for n, v, b, p in checks
-        ],
-        "passed": all(p for _, _, _, p in checks),
+        "checks": [check._asdict() for check in checks],
+        "passed": all(check.passed for check in checks),
     }
     for name, value, bound, passed in checks:
         sys.stderr.write(

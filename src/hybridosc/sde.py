@@ -36,7 +36,7 @@ DT_WARN_FACTOR = 0.1
 DT_ERROR_FACTOR = 1.0
 
 
-def _thread_count(threads: int | None) -> int:
+def thread_count(threads: int | None) -> int:
     value = threads if threads is not None else os.environ.get("HYBRID_OSC_THREADS") or 1
     try:
         return max(1, int(value))
@@ -315,7 +315,7 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
     ]
-    n_workers = min(_thread_count(threads), len(chunks))
+    n_workers = min(thread_count(threads), len(chunks))
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         results = _in_chunk_order(
             pool, lambda idx: _run_chunk(dn, cfg, idx, output_steps, weight), chunks, n_workers

@@ -495,9 +495,7 @@ def exact_equal_time(params: SystemParams) -> dict[str, float]:
     return out
 
 
-def correlators_small_lambda(
-    params: SystemParams, t_grid: np.ndarray, identical: bool = False
-) -> CorrelatorTable:
+def correlators_small_lambda(params: SystemParams, t_grid: np.ndarray) -> CorrelatorTable:
     """Leading small-coupling closed forms of the correlators.
 
     General parameters (s1 = sqrt(w1^2 - g1^2/4), R = (w1^2-w2^2)^2 + g1^2 w2^2):
@@ -517,10 +515,6 @@ def correlators_small_lambda(
     produce a slope of the wrong sign for t > 0 (verified against the exact
     residue transform); consequently g12 != g21, the two being time
     reflections of one another.
-
-    With ``identical=True`` the oscillators must match (m1 = m2, w1 = w2)
-    and the simplified forms are used; they are the equal-parameter limits
-    of the general ones, e.g. g22(t) = D2 g1/(2 lam^2) cos(w t).
     """
     o1, o2, lam = params.osc1, params.osc2, params.coupling
     if lam == 0.0:
@@ -534,23 +528,18 @@ def correlators_small_lambda(
         raise OverdampedUnsupported(
             "small-coupling correlators require the underdamped regime (w1 > gamma1/2)"
         )
-    if identical:
-        if not (
-            np.isclose(o1.mass, o2.mass, rtol=1e-9) and np.isclose(w1s, w2s, rtol=1e-9)
-        ):
-            raise ValueError("identical=True requires matching masses and frequencies")
     m1, m2 = o1.mass, o2.mass
     d1, d2 = o1.diffusion, o2.diffusion
     w2 = o2.frequency
     s1 = np.sqrt(w1s - g1**2 / 4)
-    big_r = g1**2 * w2s if identical else (w1s - w2s) ** 2 + g1**2 * w2s
+    big_r = (w1s - w2s) ** 2 + g1**2 * w2s
 
     t = np.asarray(t_grid, dtype=float)
     at = np.abs(t)
     damped = np.exp(-g1 * at / 2) * (np.cos(s1 * at) + g1 / (2 * s1) * np.sin(s1 * at))
     g11 = d1 / (2 * g1 * m1**2 * w1s) * damped + d2 / (2 * g1 * m1 * m2 * w2s) * np.cos(w2 * t)
     g22 = d2 * m1 * big_r / (2 * g1 * w2s * m2 * lam**2) * np.cos(w2 * t)
-    skew = 0.0 if identical else (w2s - w1s) / (g1 * w2)
+    skew = (w2s - w1s) / (g1 * w2)
     g12 = d2 / (2 * m2 * w2 * lam) * (-np.sin(w2 * t) - skew * np.cos(w2 * t))
     g21 = d2 / (2 * m2 * w2 * lam) * (+np.sin(w2 * t) - skew * np.cos(w2 * t))
     support = t < 0

@@ -5,9 +5,10 @@ drift matrix has strictly positive real part.  For this model the
 characteristic quartic is simple enough that the Routh-Hurwitz conditions
 collapse to coefficient positivity plus two reduced inequalities, and the
 certificate can be evaluated without touching an eigensolver; the Lyapunov
-solve uses only that verdict.  :func:`routh_hurwitz` also cross-checks a dense
-eigenvalue computation against the quartic roots, so its report carries both
-the algebraic verdict and the spectrum it certifies.
+solve uses only that verdict.  :func:`routh_hurwitz` also runs one dense
+eigensolve and cross-checks it against the quartic coefficient by coefficient
+(:func:`spectrum_mismatch`), so its report carries both the algebraic verdict
+and the spectrum it certifies.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .errors import SingularSystem
 from .model import SystemParams, assemble_drift_noise, characteristic_polynomial
 
-# agreement demanded between companion-matrix roots and the dense eigensolver
-_EIG_XCHECK_RTOL = 1e-9
+# agreement demanded between the quartic and the dense eigenvalues' coefficients
+SPECTRUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class StabilityReport:
 
 
 def _sorted_complex(values: np.ndarray) -> np.ndarray:
+    # rounding the real part orders a pair split only by rounding noise by imaginary part
     return np.asarray(sorted(values, key=lambda z: (round(z.real, 12), z.imag)))
 
 
@@ -67,6 +69,21 @@ def _hurwitz_criteria(params: SystemParams) -> tuple[dict[str, float], bool]:
         "reduced_2": l2**2,
     }
     return criteria, all(v > 0.0 for v in criteria.values())
+
+
+def spectrum_mismatch(params: SystemParams) -> tuple[np.ndarray, float]:
+    """Sorted drift eigenvalues and their disagreement with the quartic.
+
+    The coefficients of prod(x - lambda_i) from one eigensolve are compared
+    with :func:`characteristic_polynomial`, coefficient k scaled by
+    max(1, e_k(|lambda|)) (e_k: k-th elementary symmetric polynomial, which
+    bounds |c_k|).  No roots are paired, so repeated and defective
+    eigenvalues, resolved only to sqrt(eps), still match to working precision.
+    """
+    eigs = _sorted_complex(np.linalg.eigvals(assemble_drift_noise(params).theta))
+    scale = np.maximum(1.0, np.poly(-np.abs(eigs)))
+    diff = np.abs(np.poly(eigs) - characteristic_polynomial(params))
+    return eigs, float(np.max(diff / scale))
 
 
 def routh_hurwitz(params: SystemParams) -> StabilityReport:
@@ -88,23 +105,10 @@ def routh_hurwitz(params: SystemParams) -> StabilityReport:
     """
     criteria, passed = _hurwitz_criteria(params)
 
-    dn = assemble_drift_noise(params)
-    eigs = _sorted_complex(np.linalg.eigvals(dn.theta))
-    roots = _sorted_complex(np.roots(characteristic_polynomial(params)))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    mismatch = float(np.max(np.abs(eigs - roots)))
-    # repeated roots are only determined to sqrt(eps); widen the cross-check
-    # tolerance when the spectrum is nearly degenerate
-    sep = min(
-        abs(eigs[i] - eigs[j]) for i in range(4) for j in range(i + 1, 4)
-    )
-    sqrt_eps = float(np.sqrt(np.finfo(float).eps))
-    tol = _EIG_XCHECK_RTOL * scale + 16.0 * sqrt_eps * scale * min(
-        1.0, sqrt_eps * scale / max(sep, 1e-300)
-    )
-    if mismatch > tol:
+    eigs, mismatch = spectrum_mismatch(params)
+    if mismatch > SPECTRUM_TOL:
         raise SingularSystem(
-            f"companion-matrix roots and dense eigenvalues disagree by {mismatch:.3e}"
+            f"characteristic quartic and dense eigenvalues disagree by {mismatch:.3e}"
         )
 
     return StabilityReport(

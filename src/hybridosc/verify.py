@@ -1,0 +1,180 @@
+"""The cross-check suite behind ``hybrid-osc verify``: each check reports the
+disagreement of two independent routes to one quantity against a fixed bound.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from . import cq as cq_mod
+from . import sde, spectral, stability, steadystate
+from .model import SystemParams, assemble_drift_noise
+
+
+class Check(NamedTuple):
+    """One row of the report; ``passed`` is ``value <= bound * tol_scale``."""
+
+    name: str
+    value: float
+    bound: float
+    passed: bool
+
+
+def _unit_cq(diffusion: float = 1.0, coupling: float = 0.05) -> cq_mod.CQParams:
+    """Unit masses, springs and damping; only diffusion and coupling vary."""
+    return cq_mod.CQParams(
+        classical_mass=1.0, classical_spring=1.0, damping=1.0, diffusion=diffusion,
+        quantum_mass=1.0, quantum_spring=1.0, coupling=coupling,
+    )
+
+
+def run_checks(
+    params: SystemParams, seed: int, mc_trajectories: int, tol_scale: float
+) -> list[Check]:
+    """Run every check on ``params`` in a fixed order; ``seed`` drives the random
+    draws and the Monte Carlo run, and ``tol_scale`` multiplies every bound."""
+    rng = np.random.default_rng(seed)
+    checks: list[Check] = []
+
+    def add(name: str, value: float, bound: float):
+        checks.append(Check(name, float(value), float(bound), bool(value <= bound * tol_scale)))
+
+    # stability: algebraic certificate vs dense spectrum
+    disagreements = 0
+    for _ in range(2000):
+        draw = SystemParams.from_dict(
+            {
+                "m1": rng.uniform(0.2, 5), "k1": rng.uniform(0.2, 5),
+                "alpha": rng.uniform(0.2, 5), "D1": rng.uniform(0, 2),
+                "m2": rng.uniform(0.2, 5), "k2": rng.uniform(0.2, 5),
+                "D2": rng.uniform(0, 2), "lambda": rng.uniform(0.05, 5),
+            }
+        )
+        report = stability.routh_hurwitz(draw)
+        if report.routh_hurwitz_pass != (report.min_real_part > 1e-12):
+            if abs(report.min_real_part) > 1e-9:
+                disagreements += 1
+    add("stability_certificate_agreement", disagreements, 0)
+
+    # characteristic polynomial coefficients == those of the drift eigenvalues
+    eigs, mismatch = stability.spectrum_mismatch(params)
+    add("charpoly_vs_eigenvalues", mismatch, stability.SPECTRUM_TOL)
+
+    # Lyapunov triangle on the configured system
+    dn = assemble_drift_noise(params)
+    solved = steadystate.solve_lyapunov(dn)
+    closed = steadystate.closed_form_covariances(params)
+    scale = float(np.max(np.abs(solved)))
+    add("closed_form_vs_lyapunov", np.max(np.abs(closed - solved)) / scale, 1e-8)
+    t_relax = 15.0 / float(np.min(eigs.real))
+    _, covs = steadystate.evolve_moments(
+        dn, np.zeros((4, 4)), np.zeros(4), np.array([0.0, t_relax]),
+        max_step=0.8 / float(np.max(np.abs(eigs))),
+    )
+    add("moment_flow_vs_lyapunov", np.max(np.abs(covs[-1] - solved)) / scale, 1e-8)
+
+    # spectral: closed form vs numeric inversion, poles, equal-time match
+    worst = 0.0
+    for _ in range(25):
+        w = rng.uniform(-4, 4)
+        closed_g = spectral.greens(params, w).matrix
+        inverted = np.linalg.inv(spectral.greens_inverse(params, w))
+        worst = max(worst, float(np.max(np.abs(closed_g - inverted)) / np.max(np.abs(inverted))))
+    add("greens_vs_numeric_inverse", worst, 1e-10)
+
+    poles = spectral.find_poles(params)
+    coeffs = spectral.response_denominator_coefficients(params)
+    conj_residual = float(
+        np.max(np.abs(np.polyval(np.conj(coeffs), np.conj(poles.upper_roots))))
+    )
+    add("pole_reflection_structure", conj_residual / max(1.0, abs(coeffs[0])), 1e-9)
+
+    eq = spectral.exact_equal_time(params)
+    slots = {"g11_0": (0, 0), "g22_0": (2, 2), "g12_0": (0, 2), "q1p2": (0, 3), "q2p1": (2, 1)}
+    residue_dev = max(abs(eq[k] - solved[idx]) for k, idx in slots.items())
+    add("residue_equal_time_vs_lyapunov", residue_dev / scale, 1e-8)
+
+    # perturbative pole error must shrink like the cube of the coupling
+    errs = []
+    lams = np.array([0.01, 0.02, 0.04])
+    base = params.to_dict()
+    for lam in lams:
+        base["lambda"] = lam
+        p_small = SystemParams.from_dict(base)
+        exact = spectral.find_poles(p_small)
+        pert = spectral.perturbative_poles(p_small, order=2)
+        errs.append(abs(exact.omega1 - pert.omega1) + abs(exact.omega2 - pert.omega2))
+    slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
+    add("perturbative_cubic_scaling", abs(slope - 3.0), 0.2)
+
+    # small-coupling closed forms against the exact residue values
+    base["lambda"] = 0.01
+    p_small = SystemParams.from_dict(base)
+    t_probe = np.linspace(0.0, 5.0 / max(params.osc1.damping_rate, 1e-3), 7)
+    exact_tab = spectral.correlators_exact(p_small, t_probe)
+    small_tab = spectral.correlators_small_lambda(p_small, t_probe)
+    add(
+        "small_lambda_g22",
+        np.max(np.abs(exact_tab.g22 - small_tab.g22)) / np.max(np.abs(exact_tab.g22)),
+        0.05,
+    )
+    zero_tab = spectral.correlators_small_lambda(p_small, np.array([0.0]))
+    ratio = spectral.sigma_ratio(p_small)
+    add(
+        "sigma_ratio_consistency",
+        abs(ratio - np.sqrt(zero_tab.g11[0] / zero_tab.g22[0])),
+        1e-12,
+    )
+    info = spectral.mutual_information(p_small, (2, 2), np.pi / 2 / p_small.osc2.frequency)
+    add("mutual_information_zero", abs(info), 1e-12)
+
+    # Monte Carlo against the Lyapunov covariance, stationary start
+    cfg = sde.SimConfig(
+        dt=1e-3,
+        t_final=5.0,
+        n_trajectories=mc_trajectories,
+        seed=seed,
+        initial_mean=np.zeros(4),
+        initial_cov=solved,
+    )
+    stats = sde.simulate_ensemble(dn, cfg)
+    dev = np.abs(stats.cov[-1] - solved)
+    bands = 3.0 * stats.cov_stderr[-1]
+    add("monte_carlo_vs_lyapunov_sigmas", float(np.max(dev / bands)), 1.0)
+    drift = sde.energy_drift(params, stats.cov[-1])
+    drift_band = 3.0 * (params.osc1.damping / params.osc1.mass**2) * stats.cov_stderr[-1][1, 1]
+    add("energy_drift_zero", abs(drift), drift_band)
+    _, path_a = sde.sample_trajectory(dn, cfg, 0)
+    _, path_b = sde.sample_trajectory(dn, cfg, 0)
+    add("trajectory_determinism", float(np.max(np.abs(path_a - path_b))), 0.0)
+
+    # CQ layer; unit diffusion and damping put T_C = D/(2 alpha) at omega/2
+    occ = cq_mod.occupation_number(_unit_cq())
+    add("occupation_minimum", abs(occ.n - 0.5), 1e-12)
+    sweep = [
+        cq_mod.occupation_number(_unit_cq(diffusion=2.0 * t_c)).n
+        for t_c in np.geomspace(0.05, 20, 25)
+    ]
+    add("occupation_floor", 0.5 - min(sweep), 0.0)
+    hybrid = _unit_cq(coupling=params.coupling or 0.05)
+    hybrid_cov = cq_mod.hybrid_equal_time(hybrid)
+    lyap = steadystate.solve_lyapunov(assemble_drift_noise(cq_mod.map_to_classical(hybrid)))
+    h_scale = float(np.max(np.abs(lyap)))
+    add(
+        "hybrid_equal_time_vs_lyapunov",
+        max(abs(hybrid_cov[k] - lyap[idx]) for k, idx in cq_mod.EQUAL_TIME_SLOTS.items()) / h_scale,
+        1e-9,
+    )
+    table = cq_mod.hybrid_correlators(_unit_cq(coupling=1e-8), np.linspace(-3, 3, 7))
+    finite = np.isfinite(table.keldysh).all() and np.isfinite(table.classical).all()
+    add("hybrid_correlators_finite_at_zero_coupling", 0.0 if finite else 1.0, 0.0)
+    devs = [
+        cq_mod.thermal_limit(_unit_cq(diffusion=d, coupling=0.1)).max_deviation_gibbs
+        for d in (10.0, 100.0, 1000.0, 10000.0)
+    ]
+    add("thermal_deviation_monotone", 0.0 if all(np.diff(devs) < 0) else 1.0, 0.0)
+    add("thermal_deviation_high_diffusion", devs[-1], 1e-2)
+
+    return checks

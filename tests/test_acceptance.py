@@ -32,7 +32,7 @@ from hybridosc import (
     solve_lyapunov,
     thermal_limit,
 )
-from hybridosc.cq import CQParams
+from hybridosc.cq import EQUAL_TIME_SLOTS, CQParams
 from hybridosc.steadystate import evolve_covariances_batch
 
 from conftest import draw_stable, gibbs_covariance_oracle, make_params, quadrature_inverse_transform
@@ -287,8 +287,6 @@ def test_criterion_7_cq_layer():
 
     rng = np.random.default_rng(707)
     worst_map = 0.0
-    slots = {"qq": (0, 0), "pp": (1, 1), "QQ": (2, 2), "PP": (3, 3),
-             "qQ": (0, 2), "Pq": (0, 3), "pQ": (2, 1), "pP": (1, 3)}
     for _ in range(25):
         cq = CQParams(
             classical_mass=rng.uniform(0.5, 2), classical_spring=rng.uniform(0.5, 2),
@@ -300,7 +298,8 @@ def test_criterion_7_cq_layer():
         cov = solve_lyapunov(assemble_drift_noise(map_to_classical(cq)))
         scale = np.max(np.abs(cov))
         worst_map = max(
-            worst_map, max(abs(moments[k] - cov[idx]) for k, idx in slots.items()) / scale
+            worst_map,
+            max(abs(moments[k] - cov[idx]) for k, idx in EQUAL_TIME_SLOTS.items()) / scale,
         )
 
     tiny = cq_at(0.5, coupling=1e-8)
@@ -341,16 +340,10 @@ def test_criterion_8_thermal_limit():
         mapped = map_to_classical(cq)
         moments = hybrid_equal_time(cq)
         gibbs = gibbs_covariance_oracle(mapped, cq.effective_temperature)
-        slots = {"qq": (0, 0), "pp": (1, 1), "QQ": (2, 2), "PP": (3, 3),
-                 "qQ": (0, 2), "Pq": (0, 3), "pQ": (2, 1), "pP": (1, 3)}
-        diag = {"qq": (0, 0), "pp": (1, 1), "QQ": (2, 2), "PP": (3, 3)}
-        pairing = {"qq": ("qq", "qq"), "pp": ("pp", "pp"), "QQ": ("QQ", "QQ"),
-                   "PP": ("PP", "PP"), "qQ": ("qq", "QQ"), "Pq": ("qq", "PP"),
-                   "pQ": ("pp", "QQ"), "pP": ("pp", "PP")}
+        # slot (i, j) is normalised by sqrt(G_ii G_jj)
         dev = max(
-            abs(moments[k] - gibbs[idx])
-            / np.sqrt(gibbs[diag[pairing[k][0]]] * gibbs[diag[pairing[k][1]]])
-            for k, idx in slots.items()
+            abs(moments[k] - gibbs[i, j]) / np.sqrt(gibbs[i, i] * gibbs[j, j])
+            for k, (i, j) in EQUAL_TIME_SLOTS.items()
         )
         deviations.append(float(dev))
         # the library's own report must agree with the independent oracle

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hybridosc import verify
 from hybridosc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -184,6 +185,25 @@ def test_bad_thread_environment_is_config_error(tmp_path, monkeypatch, capsys):
     ])
     assert code == EXIT_CONFIG
     _single_config_error(capsys)
+
+
+def test_bad_thread_environment_fails_verify_before_checks(monkeypatch, capsys):
+    monkeypatch.setenv("HYBRID_OSC_THREADS", "abc")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("checks ran before the thread setting was rejected")
+
+    monkeypatch.setattr(verify, "run_checks", forbidden)
+    assert run_cli(["verify", "--lambda", "0.4"]) == EXIT_CONFIG
+    _single_config_error(capsys)
+
+
+def test_stability_defective_marginal_spectrum(capsys):
+    code = run_cli(["stability", "--k1", "0", "--k2", "0", "--alpha", "0", "--lambda", "1"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["routh_hurwitz_pass"] is False
+    assert payload["reason"] == "marginal"
 
 
 def test_zero_correlator_points_is_config_error(tmp_path, capsys):

@@ -283,26 +283,9 @@ def test_quadrature_oracle_matches_residues():
 
 def test_small_lambda_identical_reference_values():
     params = SystemParams.natural_units(0.05)
-    zero = correlators_small_lambda(params, np.array([0.0]), identical=True)
+    zero = correlators_small_lambda(params, np.array([0.0]))
     assert zero.g12[0] == 0.0
     assert zero.g22[0] == pytest.approx(1.0 * 1.0 / (2 * 0.05**2))
-
-
-def test_small_lambda_identical_equals_general():
-    params = SystemParams.natural_units(0.07, d1=1.3, d2=0.8)
-    t = np.linspace(-9.0, 9.0, 37)
-    general = correlators_small_lambda(params, t, identical=False)
-    special = correlators_small_lambda(params, t, identical=True)
-    for name in general.PAIR_COLUMNS:
-        np.testing.assert_allclose(
-            getattr(general, name), getattr(special, name), rtol=1e-12, atol=1e-12
-        )
-
-
-def test_small_lambda_identical_flag_requires_matching_oscillators():
-    params = make_params(1.0, 1.0, 1.0, 1.0, 1.3, 1.0, 1.0, 0.05)
-    with pytest.raises(ValueError):
-        correlators_small_lambda(params, np.array([0.0]), identical=True)
 
 
 def test_small_lambda_matches_exact_identical():

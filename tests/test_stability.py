@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridosc import characteristic_polynomial, routh_hurwitz
-from hybridosc.stability import _hurwitz_criteria
+from hybridosc import characteristic_polynomial, routh_hurwitz, stability
+from hybridosc.errors import SingularSystem
+from hybridosc.stability import _hurwitz_criteria, spectrum_mismatch
 
 from conftest import draw_stable, make_params, stable_params
 
@@ -58,12 +59,53 @@ def test_springless_pair_is_marginal():
 
 
 def test_critically_damped_double_root_tolerated():
-    # gamma^2 = 4 w1^2 exactly: the quartic has a double root, where both
-    # root-finding routes are only sqrt(eps)-accurate; the certificate must
-    # still evaluate rather than reject its own cross-check
+    # gamma^2 = 4 w1^2 exactly: the quartic has a double root, which the
+    # eigensolver resolves only to sqrt(eps); the certificate must still
+    # evaluate rather than reject its own cross-check
     report = routh_hurwitz(make_params(1.0, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0))
     assert not report.routh_hurwitz_pass
     assert report.reason == "marginal"
+
+
+def test_defective_marginal_spectrum_is_marginal():
+    # no springs and no damping: a defective double zero eigenvalue, split by
+    # rounding into a real pair of size ~sqrt(eps), beside +-i sqrt(2)
+    report = routh_hurwitz(make_params(1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0))
+    assert not report.routh_hurwitz_pass
+    assert report.reason == "marginal"
+
+
+def test_spectrum_cross_check_survives(monkeypatch):
+    params = make_params(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.05)
+    _, mismatch = spectrum_mismatch(params)
+    assert mismatch < 1e-12
+    true_quartic = stability.characteristic_polynomial
+
+    def wrong_quartic(p):
+        coeffs = true_quartic(p).copy()
+        coeffs[2] *= 1.0 + 1e-7
+        return coeffs
+
+    monkeypatch.setattr(stability, "characteristic_polynomial", wrong_quartic)
+    with pytest.raises(SingularSystem):
+        routh_hurwitz(params)
+
+
+def test_certificate_uses_one_eigensolve(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a)
+        return eigvals(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no companion-matrix roots")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(np, "roots", forbidden)
+    routh_hurwitz(make_params(1.7, 0.4, 0.9, 1.0, 0.6, 2.2, 1.0, 0.8))
+    assert len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None)
