@@ -2,8 +2,11 @@
 
 Subcommands: simulate, stability, steadystate, correlators, poles, cq,
 verify.  Parameters come from a single JSON config document (--config) with
-individual flags overriding file values.  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 verification failure.
+individual flags overriding file values.  Exit codes come from ``main``
+alone: 0 success; 2 rejected input (a ``ValueError``, ``TypeError`` or
+``OSError`` from any flag, config value or file, output path or
+``HYBRID_OSC_THREADS``), with one ``config error:`` line; 3 numerical
+refusal (``HybridOscError`` or ``LinAlgError``); 4 verification failure.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -40,44 +42,29 @@ _DEFAULT_CQ = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise ValueError("config document must be a JSON object")
     return data
 
 
-def _merged(defaults: dict, config: dict, args: argparse.Namespace, keys) -> dict:
+def _merged(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit CLI flags."""
     out = dict(defaults)
-    for key in keys:
+    for key in defaults:
         if key in config:
             out[key] = config[key]
-    for key in keys:
-        flag = getattr(args, key.replace("lambda", "lam"), None)
-        if flag is not None:
-            out[key] = flag
+        if getattr(args, key) is not None:
+            out[key] = getattr(args, key)
     return out
 
 
 def _system_params(args: argparse.Namespace, config: dict) -> SystemParams:
-    values = _merged(_DEFAULT_PARAMS, config, args, _DEFAULT_PARAMS.keys())
-    try:
-        return SystemParams.from_dict(values)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad system parameters: {exc}") from exc
+    return SystemParams.from_dict(_merged(_DEFAULT_PARAMS, config, args))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -86,9 +73,6 @@ def _emit(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        directory = os.path.dirname(os.path.abspath(path))
-        if directory and not os.path.isdir(directory):
-            raise ConfigError(f"output directory does not exist: {directory}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -142,7 +126,7 @@ def _cmd_steadystate(args, config) -> int:
 
 def _cmd_simulate(args, config) -> int:
     params = _system_params(args, config)
-    sim = _merged(_DEFAULT_SIM, config, args, _DEFAULT_SIM.keys())
+    sim = _merged(_DEFAULT_SIM, config, args)
     dn = assemble_drift_noise(params)
 
     initial = sim.get("initial", "zero")
@@ -159,24 +143,17 @@ def _cmd_simulate(args, config) -> int:
         kwargs["initial_mean"] = np.asarray(initial["mean"], dtype=float)
         kwargs["initial_cov"] = np.asarray(initial["cov"], dtype=float)
     else:
-        raise ConfigError("initial must be 'zero', 'stationary', {'state': [...]}, or {'mean','cov'}")
+        raise ValueError("initial must be 'zero', 'stationary', {'state': [...]}, or {'mean','cov'}")
 
-    try:
-        cfg = sde.SimConfig(
-            dt=float(sim["dt"]),
-            t_final=float(sim["t_final"]),
-            n_trajectories=int(sim["n_trajectories"]),
-            seed=int(sim["seed"]),
-            output_stride=sim["output_stride"] and int(sim["output_stride"]),
-            **kwargs,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad simulation settings: {exc}") from exc
-
-    try:
-        stats = sde.simulate_ensemble(dn, cfg, threads=args.threads)
-    except ValueError as exc:
-        raise ConfigError(f"bad simulation settings: {exc}") from exc
+    cfg = sde.SimConfig(
+        dt=float(sim["dt"]),
+        t_final=float(sim["t_final"]),
+        n_trajectories=int(sim["n_trajectories"]),
+        seed=int(sim["seed"]),
+        output_stride=sim["output_stride"] and int(sim["output_stride"]),
+        **kwargs,
+    )
+    stats = sde.simulate_ensemble(dn, cfg, threads=args.threads)
     buf = io.StringIO()
     stats.write_csv(buf)
     _emit(buf.getvalue(), args.output)
@@ -200,7 +177,9 @@ def _cmd_poles(args, config) -> int:
 def _cmd_correlators(args, config) -> int:
     params = _system_params(args, config)
     if args.points < 1:
-        raise ConfigError(f"--points must be >= 1, got {args.points}")
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    if not np.isfinite(args.t_max):
+        raise ValueError(f"--t-max must be finite, got {args.t_max}")
     t = np.linspace(-args.t_max, args.t_max, args.points)
     method = args.method
     if method == "auto":
@@ -223,19 +202,16 @@ def _cmd_correlators(args, config) -> int:
 
 
 def _cmd_cq(args, config) -> int:
-    values = _merged(_DEFAULT_CQ, config, args, _DEFAULT_CQ.keys())
-    try:
-        hybrid = cq_mod.CQParams(
-            classical_mass=float(values["mC"]),
-            classical_spring=float(values["kC"]),
-            damping=float(values["alpha"]),
-            diffusion=float(values["D"]),
-            quantum_mass=float(values["mQ"]),
-            quantum_spring=float(values["kQ"]),
-            coupling=float(values["lambda"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad CQ parameters: {exc}") from exc
+    values = _merged(_DEFAULT_CQ, config, args)
+    hybrid = cq_mod.CQParams(
+        classical_mass=float(values["mC"]),
+        classical_spring=float(values["kC"]),
+        damping=float(values["alpha"]),
+        diffusion=float(values["D"]),
+        quantum_mass=float(values["mQ"]),
+        quantum_spring=float(values["kQ"]),
+        coupling=float(values["lambda"]),
+    )
     occ = cq_mod.occupation_number(hybrid)
     report = cq_mod.thermal_limit(hybrid)
     _emit(
@@ -259,10 +235,7 @@ def _cmd_cq(args, config) -> int:
 
 def _cmd_verify(args, config) -> int:
     params = _system_params(args, config)
-    try:
-        sde.thread_count(None)  # reject a bad HYBRID_OSC_THREADS before any check runs
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sde.thread_count(None)  # reject a bad HYBRID_OSC_THREADS before any check runs
     checks = verify.run_checks(
         params,
         seed=args.seed if args.seed is not None else 0,
@@ -286,15 +259,18 @@ def _cmd_verify(args, config) -> int:
 # argument parsing
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m1", type=float, default=None)
-    parser.add_argument("--k1", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--D1", type=float, default=None)
-    parser.add_argument("--m2", type=float, default=None)
-    parser.add_argument("--k2", type=float, default=None)
-    parser.add_argument("--D2", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
+# flag types other than float; "initial" is an untyped string (a config may give an object)
+_FLAG_TYPES = {"n_trajectories": int, "seed": int, "output_stride": int, "initial": None}
+_FLAG_HELP = {"initial": "'zero' or 'stationary' (JSON config allows state/mean+cov)"}
+
+
+def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """One ``--<key>`` flag (underscores as dashes) per key of ``defaults``; unset is None."""
+    for key in defaults:
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=_FLAG_TYPES.get(key, float),
+            default=None, help=_FLAG_HELP.get(key),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,44 +288,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     p = sub.add_parser("stability", help="stability certificate as JSON", parents=[common])
-    _add_param_flags(p)
+    _add_flags(p, _DEFAULT_PARAMS)
 
     p = sub.add_parser("steadystate", help="stationary covariances by both routes", parents=[common])
-    _add_param_flags(p)
+    _add_flags(p, _DEFAULT_PARAMS)
 
     p = sub.add_parser("simulate", help="ensemble statistics CSV", parents=[common])
-    _add_param_flags(p)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-final", dest="t_final", type=float, default=None)
-    p.add_argument("--n-trajectories", dest="n_trajectories", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output-stride", dest="output_stride", type=int, default=None)
-    p.add_argument(
-        "--initial", default=None, help="'zero' or 'stationary' (JSON config allows state/mean+cov)"
-    )
+    _add_flags(p, _DEFAULT_PARAMS)
+    _add_flags(p, _DEFAULT_SIM)
     p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("poles", help="independent pole pair as JSON", parents=[common])
-    _add_param_flags(p)
+    _add_flags(p, _DEFAULT_PARAMS)
     p.add_argument("--perturbative", type=int, choices=(1, 2), default=None)
 
     p = sub.add_parser("correlators", help="two-point functions as CSV", parents=[common])
-    _add_param_flags(p)
+    _add_flags(p, _DEFAULT_PARAMS)
     p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--method", choices=("auto", "exact", "small-lambda"), default="auto")
 
     p = sub.add_parser("cq", help="hybrid layer summary as JSON", parents=[common])
-    p.add_argument("--D", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mC", type=float, default=None)
-    p.add_argument("--mQ", type=float, default=None)
-    p.add_argument("--kC", type=float, default=None)
-    p.add_argument("--kQ", type=float, default=None)
+    _add_flags(p, _DEFAULT_CQ)
 
     p = sub.add_parser("verify", help="run the full cross-check suite", parents=[common])
-    _add_param_flags(p)
+    _add_flags(p, _DEFAULT_PARAMS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mc-trajectories", dest="mc_trajectories", type=int, default=2000)
     p.add_argument(
@@ -380,17 +343,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.mode](args, config)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
     except HybridOscError as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it goes first
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError subclass: the reader went away
         return EXIT_OK
+    except (OSError, ValueError, TypeError) as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ def run_checks(
 ) -> list[Check]:
     """Run every check on ``params`` in a fixed order; ``seed`` drives the random
     draws and the Monte Carlo run, and ``tol_scale`` multiplies every bound."""
+    if mc_trajectories < 2:  # one trajectory has no spread, so its error bands are NaN
+        raise ValueError(f"mc_trajectories must be >= 2, got {mc_trajectories}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
 
@@ -120,12 +122,12 @@ def run_checks(
         np.max(np.abs(exact_tab.g22 - small_tab.g22)) / np.max(np.abs(exact_tab.g22)),
         0.05,
     )
-    zero_tab = spectral.correlators_small_lambda(p_small, np.array([0.0]))
-    ratio = spectral.sigma_ratio(p_small)
+    small_eq = spectral.exact_equal_time(p_small)
+    residue_ratio = np.sqrt(small_eq["g11_0"] / small_eq["g22_0"])
     add(
-        "sigma_ratio_consistency",
-        abs(ratio - np.sqrt(zero_tab.g11[0] / zero_tab.g22[0])),
-        1e-12,
+        "sigma_ratio_vs_residue",
+        abs(spectral.sigma_ratio(p_small) - residue_ratio) / residue_ratio,
+        0.05,
     )
     info = spectral.mutual_information(p_small, (2, 2), np.pi / 2 / p_small.osc2.frequency)
     add("mutual_information_zero", abs(info), 1e-12)

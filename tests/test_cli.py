@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from hybridosc import verify
-from hybridosc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, main
+from hybridosc import spectral, verify
+from hybridosc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, build_parser, main
+from hybridosc.model import SystemParams
 
 
 def run_cli(args):
@@ -206,15 +208,73 @@ def test_stability_defective_marginal_spectrum(capsys):
     assert payload["reason"] == "marginal"
 
 
-def test_zero_correlator_points_is_config_error(tmp_path, capsys):
-    assert run_cli(["-o", str(tmp_path / "c.csv"), "correlators", "--points", "0"]) == EXIT_CONFIG
+# every rejected input leaves through exit 2 with one stderr line; "TMP" is the
+# test's temporary directory
+_REJECTED_INPUTS = {
+    "cq_zero_damping": ["cq", "--alpha", "0"],
+    "cq_zero_quantum_spring": ["cq", "--kQ", "0"],
+    "cq_zero_temperature": ["cq", "--D", "0", "--lambda", "0"],
+    "verify_zero_trajectories": ["verify", "--mc-trajectories", "0"],
+    "verify_one_trajectory": ["verify", "--mc-trajectories", "1"],
+    "verify_undriven_oscillator_2": ["verify", "--D2", "0"],
+    "output_is_directory": ["-o", "TMP", "stability"],
+    "zero_correlator_points": ["-o", "TMP/c.csv", "correlators", "--points", "0"],
+    "nan_correlator_t_max": ["correlators", "--t-max", "nan"],
+    "unstable_step_size": [
+        "-o", "TMP/s.csv", "simulate", "--dt", "2", "--t-final", "4", "--n-trajectories", "4",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", _REJECTED_INPUTS.values(), ids=_REJECTED_INPUTS.keys())
+def test_rejected_input_is_config_error(argv, tmp_path, capsys):
+    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+    assert run_cli(argv) == EXIT_CONFIG
     _single_config_error(capsys)
 
 
-def test_unstable_step_size_is_config_error(tmp_path, capsys):
-    code = run_cli([
-        "-o", str(tmp_path / "s.csv"), "simulate", "--dt", "2", "--t-final", "4",
-        "--n-trajectories", "4",
-    ])
-    assert code == EXIT_CONFIG
-    _single_config_error(capsys)
+def test_sigma_ratio_check_sees_a_wrong_ratio(monkeypatch):
+    sigma_ratio = spectral.sigma_ratio
+    monkeypatch.setattr(spectral, "sigma_ratio", lambda params: 1.1 * sigma_ratio(params))
+    params = SystemParams.natural_units(0.4)
+    rows = verify.run_checks(params, seed=1, mc_trajectories=50, tol_scale=1.0)
+    checks = {check.name: check for check in rows}
+    assert not checks["sigma_ratio_vs_residue"].passed
+    assert checks["small_lambda_g22"].passed
+
+
+_PARAM_FLAGS = {
+    "--m1": float, "--k1": float, "--alpha": float, "--D1": float,
+    "--m2": float, "--k2": float, "--D2": float, "--lambda": float,
+}
+_COMMON_FLAGS = {"-h": None, "--help": None, "--config": None, "-o": None, "--output": None}
+_FLAG_SURFACE = {
+    "stability": {**_COMMON_FLAGS, **_PARAM_FLAGS},
+    "steadystate": {**_COMMON_FLAGS, **_PARAM_FLAGS},
+    "simulate": {
+        **_COMMON_FLAGS, **_PARAM_FLAGS,
+        "--dt": float, "--t-final": float, "--n-trajectories": int, "--seed": int,
+        "--output-stride": int, "--initial": None, "--threads": int,
+    },
+    "poles": {**_COMMON_FLAGS, **_PARAM_FLAGS, "--perturbative": int},
+    "correlators": {
+        **_COMMON_FLAGS, **_PARAM_FLAGS, "--t-max": float, "--points": int, "--method": None,
+    },
+    "cq": {
+        **_COMMON_FLAGS, "--D": float, "--alpha": float, "--lambda": float,
+        "--mC": float, "--mQ": float, "--kC": float, "--kQ": float,
+    },
+    "verify": {
+        **_COMMON_FLAGS, **_PARAM_FLAGS,
+        "--seed": int, "--mc-trajectories": int, "--tol-scale": float,
+    },
+}
+
+
+def test_flag_surface_is_pinned():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert subparsers.choices.keys() == _FLAG_SURFACE.keys()
+    for name, sub in subparsers.choices.items():
+        surface = {opt: action.type for action in sub._actions for opt in action.option_strings}
+        assert surface == _FLAG_SURFACE[name], name
