@@ -20,6 +20,8 @@ Conventions (fixed once; every formula below is stated in these):
   t <= 0: a response-variable insertion correlates only with observations
   made after it.
 * Correlation entries carry 1/|D(w)|^2 and decay in both time directions.
+* One function of A, A*, B gives the seven numerators over D or |D|^2; the
+  closed form evaluates it at a real w and the residue sums at the poles.
 
 The four upper roots come in the reflection pattern {W1, W2, -W1*, -W2*};
 W1 and W2 are the two independent generators in the open first quadrant
@@ -57,8 +59,8 @@ _IMAG_LEAK_TOL = 1e-8     # tolerated imaginary leakage in provably real outputs
 
 
 def _abc(params: SystemParams, w):
+    """Factor values A(w), A*(w), B(w) at a real or complex scalar or array."""
     o1, o2, lam = params.osc1, params.osc2, params.coupling
-    w = np.asarray(w, dtype=complex)
     a = o1.mass * w**2 - 1j * o1.damping * w - o1.spring_constant - lam
     a_conj = o1.mass * w**2 + 1j * o1.damping * w - o1.spring_constant - lam
     b = o2.mass * w**2 - o2.spring_constant - lam
@@ -73,7 +75,7 @@ def greens_inverse(params: SystemParams, omega: float) -> np.ndarray:
     strengths -D1 / -D2, and the coupling sits on the q/q~ cross blocks.
     """
     o1, o2, lam = params.osc1, params.osc2, params.coupling
-    a, a_conj, b = _abc(params, omega)
+    a, a_conj, b = _abc(params, complex(omega))
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1] = a_conj
     m[0, 3] = lam
@@ -126,12 +128,33 @@ class GreensFrequency:
         return complex(self.matrix[2, 1])
 
 
+_SLOTS = {  # (row, col) of each two-point function in the (q1, q1~, q2, q2~) matrix
+    "g11": (0, 0), "g22": (2, 2), "g12": (0, 2), "g21": (2, 0),
+    "response_11": (0, 1), "response_22": (2, 3), "response_21": (2, 1),
+}
+
+
+def _numerators(params: SystemParams, a, a_conj, b) -> dict:
+    """The seven numerators (g over |D|^2, responses over D) at factor values A, A*, B."""
+    lam = params.coupling
+    d1, d2 = params.osc1.diffusion, params.osc2.diffusion
+    return {
+        "g11": d1 * b**2 + lam**2 * d2,
+        "g22": d2 * a * a_conj + lam**2 * d1,
+        "g12": -lam * (d1 * b + d2 * a_conj),
+        "g21": -lam * (d1 * b + d2 * a),
+        "response_11": b,
+        "response_22": a,
+        "response_21": 0.0 * b - lam,
+    }
+
+
 def greens(params: SystemParams, omega: float) -> GreensFrequency:
     """Closed-form components of the inverse kernel at real ``omega``.
 
     Equal to the numerical inverse of :func:`greens_inverse` to full
-    precision; assembled from the factor functions instead so each component
-    is available in the rational form the residue transform needs:
+    precision; assembled from the factor functions by the numerators that the
+    residue sums evaluate at the poles (:func:`_numerators`):
 
         G_q1q1 = (D1 B^2 + lam^2 D2) / |D|^2
         G_q2q2 = (D2 A A* + lam^2 D1) / |D|^2
@@ -149,8 +172,7 @@ def greens(params: SystemParams, omega: float) -> GreensFrequency:
         where the undamped factor has real zeros).
     """
     o1, o2, lam = params.osc1, params.osc2, params.coupling
-    d1, d2 = o1.diffusion, o2.diffusion
-    a, a_conj, b = _abc(params, omega)
+    a, a_conj, b = _abc(params, complex(omega))
     den_up = a * b - lam**2
     den_lo = a_conj * b - lam**2
     # magnitude of the constituent terms, immune to cancellation inside A or B
@@ -163,18 +185,13 @@ def greens(params: SystemParams, omega: float) -> GreensFrequency:
     dd = den_up * den_lo
 
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (d1 * b**2 + lam**2 * d2) / dd
-    m[2, 2] = (d2 * a * a_conj + lam**2 * d1) / dd
-    m[0, 2] = -lam * (d1 * b + d2 * a_conj) / dd
-    m[2, 0] = -lam * (d1 * b + d2 * a) / dd
-    m[0, 1] = b / den_up
+    for name, value in _numerators(params, a, a_conj, b).items():
+        m[_SLOTS[name]] = value / (dd if name.startswith("g") else den_up)
+    # lower response slots: the coefficient conjugates of the upper ones
     m[1, 0] = b / den_lo
-    m[2, 3] = a / den_up
     m[3, 2] = a_conj / den_lo
-    m[2, 1] = -lam / den_up
-    m[0, 3] = -lam / den_up
-    m[1, 2] = -lam / den_lo
-    m[3, 0] = -lam / den_lo
+    m[1, 2] = m[3, 0] = -lam / den_lo
+    m[0, 3] = m[2, 1]
     return GreensFrequency(omega=float(omega), matrix=m)
 
 
@@ -200,22 +217,15 @@ def response_denominator_coefficients(params: SystemParams) -> np.ndarray:
     )
 
 
-def _polyval(coeffs: np.ndarray, x):
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for c in coeffs:
-        out = out * x + c
-    return out
-
-
 def _upper_roots(params: SystemParams) -> np.ndarray:
     """Roots of the response denominator, Newton-polished, sorted by real part."""
     coeffs = response_denominator_coefficients(params)
     roots = np.roots(coeffs)
     deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
     for _ in range(_NEWTON_ROUNDS):
-        slope = _polyval(deriv, roots)
+        slope = np.polyval(deriv, roots)
         ok = np.abs(slope) > 0
-        roots = np.where(ok, roots - _polyval(coeffs, roots) / np.where(ok, slope, 1.0), roots)
+        roots = np.where(ok, roots - np.polyval(coeffs, roots) / np.where(ok, slope, 1.0), roots)
     return roots[np.argsort(roots.real)]
 
 
@@ -377,60 +387,35 @@ class CorrelatorTable:
     response_21: np.ndarray
     method: str
 
-    PAIR_COLUMNS = ("g11", "g22", "g12", "g21", "response_11", "response_22", "response_21")
-
-
-def _numerators(params: SystemParams) -> dict[str, np.ndarray]:
-    """Descending polynomial coefficients of each component's numerator."""
-    o1, o2, lam = params.osc1, params.osc2, params.coupling
-    d1, d2 = o1.diffusion, o2.diffusion
-    a = np.array([o1.mass, -1j * o1.damping, -(o1.spring_constant + lam)])
-    a_conj = np.conj(a)
-    b = np.array([o2.mass, 0.0, -(o2.spring_constant + lam)], dtype=complex)
-
-    n11 = d1 * np.convolve(b, b)
-    n11[-1] += lam**2 * d2
-    n22 = d2 * np.convolve(a, a_conj)
-    n22[-1] += lam**2 * d1
-    n12 = -lam * (d1 * b + d2 * a_conj)
-    n21 = -lam * (d1 * b + d2 * a)
-    return {
-        "g11": n11,
-        "g22": n22,
-        "g12": n12,
-        "g21": n21,
-        "response_11": b,
-        "response_22": a,
-        "response_21": np.array([-lam], dtype=complex),
-    }
+    PAIR_COLUMNS = tuple(_SLOTS)
 
 
 def _stable_poles(params: SystemParams, context: str):
-    """Roots of D, roots of |D|^2 and their leads, or PoleOnAxis / DegeneratePoles."""
+    """Roots of D and |D|^2, leads, numerators at the |D|^2 roots; or DegeneratePoles/PoleOnAxis."""
     roots_up = _upper_roots(params)
     if np.any(roots_up.imag <= 0.0):
         raise PoleOnAxis(f"{context}: requires a strictly stable system (all poles off axis)")
     roots_all = np.concatenate([roots_up, np.conj(roots_up)])
     _check_separation(roots_all, context)
     lead4 = response_denominator_coefficients(params)[0]
-    return roots_up, roots_all, lead4, lead4 * np.conj(lead4)
+    nums = _numerators(params, *_abc(params, roots_all))
+    return roots_up, roots_all, lead4, lead4 * np.conj(lead4), nums
 
 
 def _residues(num: np.ndarray, roots: np.ndarray, lead: complex) -> np.ndarray:
-    """N(p_k) / (lead * prod_{j != k} (p_k - p_j)) at every (simple) pole p_k."""
+    """N(p_k) / (lead * prod_{j != k} (p_k - p_j)) at every (simple) pole p_k; num = N(p_k)."""
     diffs = roots[:, None] - roots[None, :]
     np.fill_diagonal(diffs, 1.0)
-    return _polyval(num, roots) / (lead * np.prod(diffs, axis=1))
+    return num / (lead * np.prod(diffs, axis=1))
 
 
 def _residue_transform(num: np.ndarray, roots: np.ndarray, lead: complex, t: np.ndarray) -> np.ndarray:
-    """Inverse transform of N(w) / (lead * prod (w - roots)) by residues.
+    """Inverse transform of N(w) / (lead * prod (w - roots)) by residues; num = N(roots).
 
     Upper-half poles are collected for t < 0 (contour closed above, +2pi i),
     lower-half poles for t >= 0.  Simple poles assumed; residues use the
     analytic derivative of the denominator.
     """
-    t = np.asarray(t, dtype=float)
     coeff = _residues(num, roots, lead)
     upper = roots.imag > 0
     out = np.zeros(t.shape, dtype=complex)
@@ -458,16 +443,15 @@ def correlators_exact(params: SystemParams, t_grid: np.ndarray) -> CorrelatorTab
     cancel to all available precision; use the small-coupling forms there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    roots_up, roots_all, lead4, lead8 = _stable_poles(params, "correlators_exact")
-    nums = _numerators(params)
+    roots_up, roots_all, lead4, lead8, nums = _stable_poles(params, "correlators_exact")
 
     values: dict[str, np.ndarray] = {}
-    for name in ("g11", "g22", "g12", "g21"):
-        raw = _residue_transform(nums[name], roots_all, lead8, t_grid)
+    for name in _SLOTS:
+        # responses have the poles of 1/D, which roots_all starts with; all are
+        # upper, so their transform vanishes for t >= 0
+        roots, lead = (roots_all, lead8) if name.startswith("g") else (roots_up, lead4)
+        raw = _residue_transform(nums[name][: len(roots)], roots, lead, t_grid)
         values[name] = _real_part(raw, name)
-    for name in ("response_11", "response_22", "response_21"):
-        # all poles are upper, so the transform vanishes for t >= 0
-        values[name] = _real_part(_residue_transform(nums[name], roots_up, lead4, t_grid), name)
     return CorrelatorTable(times=t_grid, method="exact-residue", **values)
 
 
@@ -478,8 +462,7 @@ def exact_equal_time(params: SystemParams) -> dict[str, float]:
     derivatives that map onto the position-momentum covariances:
     m2 * d/dt g12(0+) = E[q1 p2] and m1 * d/dt g21(0+) = E[q2 p1].
     """
-    _, roots_all, _, lead8 = _stable_poles(params, "exact_equal_time")
-    nums = _numerators(params)
+    _, roots_all, _, lead8, nums = _stable_poles(params, "exact_equal_time")
     lower = roots_all.imag < 0
     poles = roots_all[lower]
 
@@ -489,9 +472,8 @@ def exact_equal_time(params: SystemParams) -> dict[str, float]:
         coeff = -1j * _residues(nums[name], roots_all, lead8)[lower]
         out[name + "_0"] = float(coeff.sum().real)
         out["d" + name + "_dt0"] = float((coeff * (-1j * poles)).sum().real)
-    m1, m2 = params.osc1.mass, params.osc2.mass
-    out["q1p2"] = m2 * out["dg12_dt0"]
-    out["q2p1"] = m1 * out["dg21_dt0"]
+    out["q1p2"] = params.osc2.mass * out["dg12_dt0"]
+    out["q2p1"] = params.osc1.mass * out["dg21_dt0"]
     return out
 
 

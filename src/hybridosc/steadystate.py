@@ -27,12 +27,12 @@ PSD_TOL = 1e-10
 RESIDUAL_RTOL = 1e-10
 
 
-def validate_covariance(cov: np.ndarray, scale: float | None = None) -> np.ndarray:
+def validate_covariance(cov: np.ndarray) -> np.ndarray:
     """Check symmetry and positive semi-definiteness (report-only, no projection)."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (4, 4):
         raise ValueError("covariance must be 4x4")
-    scale = float(scale) if scale is not None else max(1.0, float(np.max(np.abs(cov))))
+    scale = max(1.0, float(np.max(np.abs(cov))))
     asym = float(np.max(np.abs(cov - cov.T)))
     if asym > SYMMETRY_TOL * scale:
         raise SingularSystem(f"covariance asymmetric by {asym:.3e}")

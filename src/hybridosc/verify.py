@@ -37,6 +37,8 @@ def run_checks(
     draws and the Monte Carlo run, and ``tol_scale`` multiplies every bound."""
     if mc_trajectories < 2:  # one trajectory has no spread, so its error bands are NaN
         raise ValueError(f"mc_trajectories must be >= 2, got {mc_trajectories}")
+    if not 0 < tol_scale < np.inf:  # NaN fails every row, a negative scale passes zero bounds
+        raise ValueError(f"tol_scale must be finite and positive, got {tol_scale}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
 

@@ -217,6 +217,9 @@ _REJECTED_INPUTS = {
     "verify_zero_trajectories": ["verify", "--mc-trajectories", "0"],
     "verify_one_trajectory": ["verify", "--mc-trajectories", "1"],
     "verify_undriven_oscillator_2": ["verify", "--D2", "0"],
+    "verify_nan_tol_scale": ["verify", "--tol-scale", "nan"],
+    "verify_negative_tol_scale": ["verify", "--tol-scale", "-1"],
+    "verify_zero_tol_scale": ["verify", "--tol-scale", "0"],
     "output_is_directory": ["-o", "TMP", "stability"],
     "zero_correlator_points": ["-o", "TMP/c.csv", "correlators", "--points", "0"],
     "nan_correlator_t_max": ["correlators", "--t-max", "nan"],
@@ -241,6 +244,24 @@ def test_sigma_ratio_check_sees_a_wrong_ratio(monkeypatch):
     checks = {check.name: check for check in rows}
     assert not checks["sigma_ratio_vs_residue"].passed
     assert checks["small_lambda_g22"].passed
+
+
+def test_cross_checks_see_a_wrong_numerator(monkeypatch):
+    # the closed form and the residue sums share one numerator function, so a
+    # wrong g22 numerator must show up against both independent routes
+    numerators = spectral._numerators
+
+    def skewed(*args):
+        values = numerators(*args)
+        values["g22"] = values["g22"] * (1 + 1e-6)
+        return values
+
+    monkeypatch.setattr(spectral, "_numerators", skewed)
+    params = SystemParams.natural_units(0.4)
+    rows = verify.run_checks(params, seed=1, mc_trajectories=50, tol_scale=1.0)
+    checks = {check.name: check for check in rows}
+    assert not checks["greens_vs_numeric_inverse"].passed
+    assert not checks["residue_equal_time_vs_lyapunov"].passed
 
 
 _PARAM_FLAGS = {
