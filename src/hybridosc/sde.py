@@ -10,13 +10,14 @@ for additive noise, the Ito/Stratonovich distinction is moot).
 Reproducibility model: trajectory ``i`` consumes a dedicated counter-based
 substream, ``Philox(key=seed).jumped(i)``.  If an initial Gaussian is
 requested the first four normals of the substream seed the initial state;
-the rest drive the noise.  Statistics are reduced with Welford/Chan moment
-accumulators merged in fixed chunk order, so results are bitwise identical
-for any thread count.
+the rest drive the noise.  Each chunk returns its moments as arrays over all
+output steps, merged with Chan's pairwise update in fixed chunk order, so
+results are bitwise identical for any thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from collections import deque
@@ -25,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalOverflow
+from .errors import NumericalOverflow, SingularSystem
 from .model import DriftNoise, SystemParams, energy_weight_matrix
+from .steadystate import validate_covariance
 
 # fixed work decomposition; part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
@@ -77,6 +79,15 @@ class SimConfig:
             raise ValueError("initial Gaussian needs both initial_mean and initial_cov")
         if self.output_stride is not None and self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
+        for name, shape in (("initial_state", (4,)), ("initial_mean", (4,)), ("initial_cov", (4, 4))):
+            value = getattr(self, name)
+            if value is not None and not (np.shape(value) == shape and np.isfinite(value).all()):
+                raise ValueError(f"{name} must be a finite array of shape {shape}")
+        if self.initial_cov is not None:
+            try:
+                validate_covariance(self.initial_cov)
+            except SingularSystem as exc:
+                raise ValueError(f"initial_cov: {exc}") from None
 
     @property
     def n_steps(self) -> int:
@@ -122,22 +133,23 @@ class EnsembleStats:
         return cols
 
     def write_csv(self, stream) -> None:
+        _, i, j = zip(*self._CSV_MOMENTS)
+        table = np.column_stack([
+            self.times, self.mean, self.cov[:, i, j], self.energy_mean,
+            self.mean_stderr, self.cov_stderr[:, i, j], self.energy_stderr,
+        ])
         stream.write(",".join(self.csv_header()) + "\n")
-        for k, t in enumerate(self.times):
-            row = [t, *self.mean[k]]
-            row += [self.cov[k, i, j] for _, i, j in self._CSV_MOMENTS]
-            row.append(self.energy_mean[k])
-            row += list(self.mean_stderr[k])
-            row += [self.cov_stderr[k, i, j] for _, i, j in self._CSV_MOMENTS]
-            row.append(self.energy_stderr[k])
+        for row in table.tolist():
             stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _energy(states: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("...i,ij,...j->...", states, weight, states)
 
 
 def total_energy(params: SystemParams, states: np.ndarray) -> np.ndarray:
     """Total mechanical energy for states of shape (..., 4)."""
-    w = energy_weight_matrix(params)
-    states = np.asarray(states, dtype=float)
-    return 0.5 * np.einsum("...i,ij,...j->...", states, w, states)
+    return _energy(np.asarray(states, dtype=float), energy_weight_matrix(params))
 
 
 def energy_drift(params: SystemParams, cov: np.ndarray) -> float:
@@ -192,43 +204,6 @@ def _output_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
-class _MomentAccumulator:
-    """Welford/Chan accumulator over the state 4-vector plus an energy channel."""
-
-    __slots__ = ("count", "mean", "m2", "e_mean", "e_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = np.zeros(4)
-        self.m2 = np.zeros((4, 4))
-        self.e_mean = 0.0
-        self.e_m2 = 0.0
-
-    def add_batch(self, states: np.ndarray, energies: np.ndarray) -> None:
-        n = states.shape[0]
-        mean = states.mean(axis=0)
-        centred = states - mean
-        m2 = centred.T @ centred
-        e_mean = float(energies.mean())
-        e_m2 = float(((energies - e_mean) ** 2).sum())
-        self._merge_raw(n, mean, m2, e_mean, e_m2)
-
-    def merge(self, other: "_MomentAccumulator") -> None:
-        self._merge_raw(other.count, other.mean, other.m2, other.e_mean, other.e_m2)
-
-    def _merge_raw(self, n, mean, m2, e_mean, e_m2) -> None:
-        if n == 0:
-            return
-        total = self.count + n
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (n / total)
-        self.m2 = self.m2 + m2 + np.outer(delta, delta) * (self.count * n / total)
-        e_delta = e_mean - self.e_mean
-        self.e_mean = self.e_mean + e_delta * (n / total)
-        self.e_m2 = self.e_m2 + e_m2 + e_delta**2 * (self.count * n / total)
-        self.count = total
-
-
 def _finite(z: np.ndarray, indices: range, t: float) -> np.ndarray:
     if not np.isfinite(z).all():
         bad = int(indices[np.flatnonzero(~np.isfinite(z).all(axis=1))[0]])
@@ -278,11 +253,34 @@ def _run_chunk(
     output_steps: np.ndarray,
     weight: np.ndarray,
 ):
-    """Integrate one contiguous block of trajectories; returns accumulators per output step."""
-    accs = [_MomentAccumulator() for _ in output_steps]
+    """One block of trajectories' (count, mean, m2, e_mean, e_m2) at every output step."""
+    n_out = len(output_steps)
+    mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
+    e_mean, e_m2 = np.empty(n_out), np.empty(n_out)
     for k, z in _steps(dn, cfg, indices, output_steps):
-        accs[k].add_batch(z, 0.5 * np.einsum("ti,ij,tj->t", z, weight, z))
-    return accs
+        mean[k] = z.mean(axis=0)
+        centred = z - mean[k]
+        m2[k] = centred.T @ centred
+        energies = _energy(z, weight)
+        e_mean[k] = energies.mean()
+        e_m2[k] = ((energies - e_mean[k]) ** 2).sum()
+    return len(indices), mean, m2, e_mean, e_m2
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Chan's pairwise update of two chunks' moments, at every output step at once."""
+    n_a, mean_a, m2_a, e_mean_a, e_m2_a = a
+    n_b, mean_b, m2_b, e_mean_b, e_m2_b = b
+    total = n_a + n_b
+    delta = mean_b - mean_a
+    e_delta = e_mean_b - e_mean_a
+    return (
+        total,
+        mean_a + delta * (n_b / total),
+        m2_a + m2_b + delta[:, :, None] * delta[:, None, :] * (n_a * n_b / total),
+        e_mean_a + e_delta * (n_b / total),
+        e_m2_a + e_m2_b + e_delta**2 * (n_a * n_b / total),
+    )
 
 
 def _in_chunk_order(pool: ThreadPoolExecutor, run, chunks: list, window: int):
@@ -306,8 +304,7 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None
     result per worker is held at a time.
     """
     _check_step_size(dn, cfg)
-    stride = cfg.resolved_stride()
-    output_steps = _output_steps(cfg.n_steps, stride)
+    output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
     # without parameters there is no energy: a NaN weight carries NaN through
     weight = energy_weight_matrix(dn.params) if dn.params is not None else np.full((4, 4), np.nan)
 
@@ -320,38 +317,25 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None
         results = _in_chunk_order(
             pool, lambda idx: _run_chunk(dn, cfg, idx, output_steps, weight), chunks, n_workers
         )
-        totals = next(results)
-        for chunk_accs in results:
-            for acc, extra in zip(totals, chunk_accs):
-                acc.merge(extra)
+        n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, results)
 
-    n = cfg.n_trajectories
-    n_out = len(output_steps)
-    times = output_steps * cfg.dt
-    mean = np.stack([acc.mean for acc in totals])
-    if n > 1:
-        cov = np.stack([acc.m2 for acc in totals]) / (n - 1)
+    # a one-trajectory ensemble has m2 == 0 exactly: 0/0 leaves NaN spreads
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cov = m2 / (n - 1)
         diag = np.einsum("kii->ki", cov)
         cov_stderr = np.sqrt(
             (diag[:, :, None] * diag[:, None, :] + cov**2) / (n - 1)
         )
         mean_stderr = np.sqrt(np.clip(diag, 0.0, None) / n)
-        e_var = np.array([acc.e_m2 for acc in totals]) / (n - 1)
-        energy_stderr = np.sqrt(np.clip(e_var, 0.0, None) / n)
-    else:
-        cov = np.full((n_out, 4, 4), np.nan)
-        cov_stderr = np.full((n_out, 4, 4), np.nan)
-        mean_stderr = np.full((n_out, 4), np.nan)
-        energy_stderr = np.full(n_out, np.nan)
-    energy_mean = np.array([acc.e_mean for acc in totals])
+        energy_stderr = np.sqrt(np.clip(e_m2 / (n - 1), 0.0, None) / n)
 
     return EnsembleStats(
-        times=times,
+        times=output_steps * cfg.dt,
         mean=mean,
         mean_stderr=mean_stderr,
         cov=cov,
         cov_stderr=cov_stderr,
-        energy_mean=energy_mean,
+        energy_mean=e_mean,
         energy_stderr=energy_stderr,
         n_trajectories=n,
     )

@@ -236,6 +236,25 @@ def test_rejected_input_is_config_error(argv, tmp_path, capsys):
     _single_config_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "initial",
+    [
+        {"mean": [0, 0, 0, 0], "cov": [[-1, 0, 0, 0], [0, 1, 5, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        {"state": [float("nan"), 0, 0, 0]},
+    ],
+    ids=["indefinite_asymmetric_cov", "nan_state"],
+)
+def test_bad_initial_condition_is_config_error(initial, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"initial": initial}))
+    code = run_cli([
+        "--config", str(config), "-o", str(tmp_path / "s.csv"), "simulate",
+        "--dt", "0.01", "--t-final", "0.1", "--n-trajectories", "4",
+    ])
+    assert code == EXIT_CONFIG
+    _single_config_error(capsys)
+
+
 def test_sigma_ratio_check_sees_a_wrong_ratio(monkeypatch):
     sigma_ratio = spectral.sigma_ratio
     monkeypatch.setattr(spectral, "sigma_ratio", lambda params: 1.1 * sigma_ratio(params))

@@ -42,9 +42,42 @@ def test_thread_count_does_not_change_results():
     cfg = SimConfig(dt=1e-2, t_final=1.0, n_trajectories=2100, seed=5)
     serial = simulate_ensemble(dn, cfg, threads=1)
     threaded = simulate_ensemble(dn, cfg, threads=4)
-    assert np.array_equal(serial.mean, threaded.mean)
-    assert np.array_equal(serial.cov, threaded.cov)
-    assert np.array_equal(serial.energy_mean, threaded.energy_mean)
+    for name in (
+        "times", "mean", "mean_stderr", "cov", "cov_stderr", "energy_mean", "energy_stderr"
+    ):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+
+def test_merged_chunks_equal_pooled_moments():
+    # 2100 trajectories make three chunks, the last one partial; the merged
+    # moments must equal plain sample statistics of all trajectories at once
+    from hybridosc import sde
+
+    params = SystemParams.natural_units(0.3)
+    dn = assemble_drift_noise(params)
+    cfg = SimConfig(
+        dt=1e-2, t_final=1.0, n_trajectories=2100, seed=8,
+        initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=10,
+    )
+    stats = simulate_ensemble(dn, cfg)
+    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    for k, z in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
+        energies = total_energy(params, z)
+        np.testing.assert_allclose(stats.mean[k], z.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(stats.cov[k], np.cov(z, rowvar=False), rtol=1e-12)
+        np.testing.assert_allclose(stats.energy_mean[k], energies.mean(), rtol=1e-12)
+        np.testing.assert_allclose(
+            stats.energy_stderr[k], energies.std(ddof=1) / np.sqrt(len(z)), rtol=1e-12
+        )
+
+
+def test_one_trajectory_ensemble_has_nan_spreads():
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3))
+    stats = simulate_ensemble(dn, SimConfig(dt=1e-2, t_final=0.5, n_trajectories=1, seed=2))
+    for name in ("cov", "cov_stderr", "mean_stderr", "energy_stderr"):
+        assert np.isnan(getattr(stats, name)).all(), name
+    assert np.isfinite(stats.mean).all()
+    assert np.isfinite(stats.energy_mean).all()
 
 
 def test_sample_trajectory_deterministic_and_matches_ensemble_member():
@@ -170,6 +203,34 @@ def test_config_validation():
         )
     with pytest.raises(ValueError):
         SimConfig(dt=1e-2, t_final=1.0, n_trajectories=1, initial_mean=np.zeros(4))
+    indefinite_asymmetric = np.eye(4)
+    indefinite_asymmetric[0, 0] = -1.0
+    indefinite_asymmetric[1, 2] = 5.0
+    nan_cov = np.eye(4)
+    nan_cov[2, 2] = np.nan
+    slightly_asymmetric = np.eye(4)
+    slightly_asymmetric[0, 3] = 1e-6
+    bad_initial = [
+        {"initial_state": np.array([np.nan, 0.0, 0.0, 0.0])},
+        {"initial_state": np.zeros(3)},
+        {"initial_state": np.zeros((1, 4))},
+        {"initial_mean": np.array([0.0, np.inf, 0.0, 0.0]), "initial_cov": np.eye(4)},
+        {"initial_mean": np.zeros(5), "initial_cov": np.eye(4)},
+        {"initial_mean": np.zeros(4), "initial_cov": np.eye(3)},
+        {"initial_mean": np.zeros(4), "initial_cov": nan_cov},
+        {"initial_mean": np.zeros(4), "initial_cov": indefinite_asymmetric},
+        {"initial_mean": np.zeros(4), "initial_cov": np.diag([1.0, 1.0, -1e-3, 1.0])},
+        {"initial_mean": np.zeros(4), "initial_cov": slightly_asymmetric},
+    ]
+    for initial in bad_initial:
+        with pytest.raises(ValueError):
+            SimConfig(dt=1e-2, t_final=1.0, n_trajectories=1, **initial)
+    # the Lyapunov solution is a valid starting covariance
+    dn = assemble_drift_noise(SystemParams.natural_units(0.05))
+    SimConfig(
+        dt=1e-2, t_final=1.0, n_trajectories=1,
+        initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn),
+    )
 
 
 def test_trajectory_amplitude_consistent_with_spectral_band():
