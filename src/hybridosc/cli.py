@@ -6,7 +6,8 @@ individual flags overriding file values.  Exit codes come from ``main``
 alone: 0 success; 2 rejected input (a ``ValueError``, ``TypeError`` or
 ``OSError`` from any flag, config value or file, output path or
 ``HYBRID_OSC_THREADS``), with one ``config error:`` line; 3 numerical
-refusal (``HybridOscError`` or ``LinAlgError``); 4 verification failure.
+refusal (``HybridOscError``, ``LinAlgError`` or an ``ArithmeticError`` such as
+a float overflow); 4 verification failure.
 """
 
 from __future__ import annotations
@@ -343,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.mode](args, config)
-    except HybridOscError as exc:
+    except (HybridOscError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it goes first

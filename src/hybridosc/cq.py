@@ -11,18 +11,16 @@ maps exactly onto the two-oscillator classical stochastic system of
 :mod:`hybridosc.model` under
 
     q2 -> Q+ (average branch),  q2~ -> i Q- (difference branch),
-    D1 -> D,                    D2 -> D0 lam^2 hbar^2 = lam^2 hbar^2 / (4 D).
+    D1 -> D,                    D2 -> D0 lam^2 = lam^2 / (4 D).
 
 Everything downstream (stability, stationary covariances, spectral
-correlators) then applies verbatim to the hybrid observables.  hbar defaults
-to 1 and is exposed only as an overall scale on the induced decoherence
-diffusion.
+correlators) then applies verbatim to the hybrid observables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -34,11 +32,9 @@ from .steadystate import closed_form_covariances
 
 @dataclass(frozen=True)
 class CQParams:
-    """Parameters of the hybrid pair, trade-off saturated by default.
+    """Parameters of the hybrid pair, trade-off saturated: D0 = 1/(4 D).
 
-    ``decoherence`` may be given explicitly; values violating
-    4 * diffusion * decoherence >= 1 are rejected.  Omitting it selects the
-    saturated rate 1/(4 * diffusion).
+    The mapped classical pair checks each field; nonzero coupling needs D > 0.
     """
 
     classical_mass: float
@@ -48,51 +44,21 @@ class CQParams:
     quantum_mass: float
     quantum_spring: float
     coupling: float
-    decoherence: float | None = None
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "classical_mass",
-            "classical_spring",
-            "damping",
-            "diffusion",
-            "quantum_mass",
-            "quantum_spring",
-            "coupling",
-            "hbar",
-        ):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        if self.classical_mass <= 0 or self.quantum_mass <= 0:
-            raise ValueError("masses must be positive")
-        if min(self.classical_spring, self.quantum_spring, self.damping, self.coupling) < 0:
-            raise ValueError("springs, damping and coupling must be >= 0")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        if self.diffusion < 0:
-            raise ValueError("diffusion must be >= 0")
-        if self.coupling > 0 and self.diffusion <= 0:
+        for field in fields(self):
+            object.__setattr__(self, field.name, float(getattr(self, field.name)))
+        # the checks of the mapped types; D0 lam^2 is left to map_to_classical
+        _classical_pair(self, induced_diffusion=0.0)
+        if self.coupling > 0 and self.diffusion == 0.0:
             raise TradeoffViolation(
                 "nonzero coupling requires classical diffusion (the trade-off bound "
                 "cannot be met at D = 0)"
             )
-        if self.decoherence is not None:
-            d0 = float(self.decoherence)
-            object.__setattr__(self, "decoherence", d0)
-            if self.diffusion > 0 and 4.0 * self.diffusion * d0 < 1.0 - 1e-12:
-                raise TradeoffViolation(
-                    f"4*D*D0 = {4.0 * self.diffusion * d0:.6g} < 1 violates the "
-                    "decoherence-diffusion bound"
-                )
 
     @property
     def decoherence_rate(self) -> float:
-        """D0; the saturated value 1/(4 D) unless supplied explicitly (inf at D = 0)."""
-        if self.decoherence is not None:
-            return self.decoherence
+        """D0 = 1/(4 D), the saturated trade-off (inf at D = 0)."""
         if self.diffusion == 0.0:
             return math.inf
         return 1.0 / (4.0 * self.diffusion)
@@ -117,15 +83,7 @@ class CQParams:
         return self.diffusion / (2.0 * self.damping)
 
 
-def map_to_classical(cq: CQParams) -> SystemParams:
-    """The equivalent classical pair for symmetrised hybrid observables.
-
-    Oscillator 1 is the classical one unchanged; oscillator 2 represents the
-    quantum average branch, undamped, with induced diffusion
-    D2 = D0 * coupling^2 * hbar^2.  At zero coupling the induced diffusion
-    vanishes: decoupled, the quantum oscillator suffers no decoherence.
-    """
-    induced = cq.decoherence_rate * cq.coupling**2 * cq.hbar**2 if cq.coupling else 0.0
+def _classical_pair(cq: CQParams, induced_diffusion: float) -> SystemParams:
     return SystemParams(
         osc1=OscillatorParams(
             mass=cq.classical_mass,
@@ -137,10 +95,21 @@ def map_to_classical(cq: CQParams) -> SystemParams:
             mass=cq.quantum_mass,
             spring_constant=cq.quantum_spring,
             damping=0.0,
-            diffusion=induced,
+            diffusion=induced_diffusion,
         ),
         coupling=cq.coupling,
     )
+
+
+def map_to_classical(cq: CQParams) -> SystemParams:
+    """The equivalent classical pair for symmetrised hybrid observables.
+
+    Oscillator 1 is the classical one unchanged; oscillator 2 represents the
+    quantum average branch, undamped, with induced diffusion
+    D2 = D0 * coupling^2.  At zero coupling the induced diffusion vanishes:
+    decoupled, the quantum oscillator suffers no decoherence.
+    """
+    return _classical_pair(cq, cq.decoherence_rate * cq.coupling**2 if cq.coupling else 0.0)
 
 
 class Occupation(NamedTuple):
@@ -156,9 +125,11 @@ def occupation_number(cq: CQParams) -> Occupation:
 
         N = (omega/(2 T_C) + 2 T_C/omega - 1) / 2.
 
-    N is minimised at T_C = omega/2 where N = 1/2: the oscillator can never
-    be emptied under this dynamics.  For T_C >> omega, N ~ T_C/omega
-    (thermalisation to the classical temperature).
+    N is minimised at T_C = omega/2 where N = 1/2.  For T_C >> omega,
+    N ~ T_C/omega (thermalisation to the classical temperature).  This
+    published formula is the leading order of the mapped dynamics at
+    D0 = 1/D, four times the saturated rate of this module; at D0 = 1/(4 D)
+    the dynamics give :func:`occupation_from_keldysh`, whose floor is 0.
     """
     w = cq.quantum_frequency
     if w == 0.0:
@@ -175,13 +146,11 @@ def occupation_number(cq: CQParams) -> Occupation:
 def occupation_from_keldysh(cq: CQParams) -> float:
     """Excitation number read off the equal-time statistical propagator.
 
-    Uses N = m_Q omega_Q <<Q+ Q+>>(0) - 1/2 with the leading-order
-    equal-time value gamma1/(8 D) + D/(2 gamma1 omega^2 m^2).  This is the
-    number the mapped dynamics actually produces; it differs from
-    :func:`occupation_number` in the decoherence-induced term (factor 4 on
-    omega/(2 T_C)), a normalisation mismatch between the two published
-    routes that we deliberately expose rather than hide.  Its minimum is 0
-    at T_C = omega/4.
+    Uses N = m_Q omega_Q <<Q+ Q+>>(0) - 1/2 with the leading-order value of
+    :func:`hybrid_correlators`.  This is the number the mapped dynamics
+    produces at the saturated D0 = 1/(4 D); :func:`occupation_number` is the
+    same order at D0 = 1/D, which quadruples the decoherence term
+    omega/(2 T_C).  Its minimum is 0 at T_C = omega/4.
     """
     g1 = cq.damping_rate
     m = cq.quantum_mass
@@ -189,8 +158,12 @@ def occupation_from_keldysh(cq: CQParams) -> float:
     d = cq.diffusion
     if g1 <= 0 or w <= 0 or d <= 0:
         raise ValueError("requires damping, diffusion and a confining quantum spring")
-    gk0 = g1 / (8.0 * d) + d / (2.0 * g1 * w**2 * m**2)
-    return float(m * w * gk0 - 0.5)
+    return float(m * w * _keldysh_amplitude(g1, d, w, m) - 0.5)
+
+
+def _keldysh_amplitude(g1: float, d: float, w: float, m: float) -> float:
+    """The equal-time <<Q+ Q+>> of :func:`hybrid_correlators`."""
+    return g1 / (8.0 * d) + d / (2.0 * g1 * w**2 * m**2)
 
 
 @dataclass(frozen=True)
@@ -208,13 +181,6 @@ class HybridCorrelators:
     keldysh: np.ndarray
     classical_response: np.ndarray
     retarded: np.ndarray
-    mass_frequency_product: float
-
-    @property
-    def occupation_equal_time(self) -> float:
-        """m_Q omega_Q G^K(0) - 1/2 evaluated on this table (diagnostic)."""
-        idx = int(np.argmin(np.abs(self.times)))
-        return float(self.mass_frequency_product * self.keldysh[idx] - 0.5)
 
 
 def hybrid_correlators(cq: CQParams, t_grid: np.ndarray) -> HybridCorrelators:
@@ -259,7 +225,7 @@ def hybrid_correlators(cq: CQParams, t_grid: np.ndarray) -> HybridCorrelators:
         * np.exp(-g1 * at / 2)
         * (np.cos(s * at) + g1 / (2 * s) * np.sin(s * at))
     )
-    keldysh = (g1 / (8 * d) + d / (2 * g1 * w**2 * m**2)) * np.cos(w * at)
+    keldysh = _keldysh_amplitude(g1, d, w, m) * np.cos(w * at)
     support = t < 0
     classical_response = np.where(support, (1 / m) * np.exp(g1 * t / 2) * np.sin(s * t) / s, 0.0)
     retarded = np.where(support, -1j / (m * w) * np.sin(w * t), 0.0 + 0.0j)
@@ -269,7 +235,6 @@ def hybrid_correlators(cq: CQParams, t_grid: np.ndarray) -> HybridCorrelators:
         keldysh=keldysh,
         classical_response=classical_response,
         retarded=retarded,
-        mass_frequency_product=m * w,
     )
 
 

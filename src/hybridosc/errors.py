@@ -38,7 +38,7 @@ class PerfectCorrelation(HybridOscError):
 
 
 class TradeoffViolation(HybridOscError):
-    """Supplied decoherence rate violates the consistency bound 4*D*D0 >= 1."""
+    """Nonzero coupling at D = 0, where the bound 4*D*D0 >= 1 cannot be met."""
 
 
 class NumericalOverflow(HybridOscError):

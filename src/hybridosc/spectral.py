@@ -502,10 +502,10 @@ def correlators_small_lambda(params: SystemParams, t_grid: np.ndarray) -> Correl
     if lam == 0.0:
         raise CouplingZero("small-coupling correlators are singular at zero coupling")
     g1 = o1.damping_rate
-    if g1 == 0.0:
-        raise NotStable("small-coupling correlators require damping on oscillator 1")
     w1s = o1.frequency**2
     w2s = o2.frequency**2
+    if g1 == 0.0 or w2s == 0.0:
+        raise NotStable("small-coupling correlators require w2 > 0 and damping on oscillator 1")
     if w1s <= g1**2 / 4:
         raise OverdampedUnsupported(
             "small-coupling correlators require the underdamped regime (w1 > gamma1/2)"

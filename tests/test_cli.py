@@ -236,6 +236,21 @@ def test_rejected_input_is_config_error(argv, tmp_path, capsys):
     _single_config_error(capsys)
 
 
+# inputs the library refuses numerically: exit 3 with one stderr line
+_NUMERICAL_REFUSALS = {
+    "small_lambda_undriven_w2": ["correlators", "--method", "small-lambda", "--k2", "0"],
+    "float_overflow": ["stability", "--lambda", "1e308", "--k1", "1e308"],
+}
+
+
+@pytest.mark.parametrize("argv", _NUMERICAL_REFUSALS.values(), ids=_NUMERICAL_REFUSALS.keys())
+def test_numerical_refusal_exits_3(argv, capsys):
+    assert run_cli(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "initial",
     [

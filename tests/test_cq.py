@@ -4,6 +4,7 @@ import pytest
 from hybridosc import (
     CQParams,
     CouplingZero,
+    SystemParams,
     TradeoffViolation,
     assemble_drift_noise,
     correlators_exact,
@@ -42,20 +43,6 @@ def test_tradeoff_saturated_by_default():
     assert 4.0 * cq.diffusion * cq.decoherence_rate == pytest.approx(1.0, abs=1e-15)
 
 
-def test_explicit_decoherence_below_bound_rejected():
-    with pytest.raises(TradeoffViolation):
-        CQParams(
-            classical_mass=1, classical_spring=1, damping=1, diffusion=1,
-            quantum_mass=1, quantum_spring=1, coupling=0.1, decoherence=0.2,
-        )
-    # above the bound is allowed (non-minimal decoherence)
-    cq = CQParams(
-        classical_mass=1, classical_spring=1, damping=1, diffusion=1,
-        quantum_mass=1, quantum_spring=1, coupling=0.1, decoherence=0.5,
-    )
-    assert cq.decoherence_rate == 0.5
-
-
 def test_coupling_without_diffusion_rejected():
     with pytest.raises(TradeoffViolation):
         CQParams(
@@ -75,14 +62,6 @@ def test_mapping_reference_values():
 def test_mapping_zero_coupling_zero_decoherence():
     mapped = map_to_classical(natural_cq(coupling=0.0))
     assert mapped.osc2.diffusion == 0.0
-
-
-def test_mapping_hbar_scale():
-    cq = CQParams(
-        classical_mass=1, classical_spring=1, damping=1, diffusion=1,
-        quantum_mass=1, quantum_spring=1, coupling=0.1, hbar=2.0,
-    )
-    assert map_to_classical(cq).osc2.diffusion == pytest.approx(0.01)
 
 
 def test_mapped_system_is_stable():
@@ -133,6 +112,27 @@ def test_keldysh_route_documented_discrepancy():
     assert min(sweep) == pytest.approx(0.0, abs=1e-4)
 
 
+def test_published_occupation_assumes_four_times_saturated_d0():
+    # N = nu - 1/2 with nu the symplectic eigenvalue of the mapped (Q, P)
+    # covariance; m = omega = alpha = 1, so D = 2 T_C
+    lam = 0.01
+
+    def mapped_occupation(d, d0):
+        mapped = SystemParams.natural_units(lam, d1=d, d2=d0 * lam**2)
+        cov = solve_lyapunov(assemble_drift_noise(mapped))
+        return np.sqrt(cov[2, 2] * cov[3, 3] - cov[2, 3] ** 2) - 0.5
+
+    for t_c in (0.25, 0.5, 1.0):
+        cq = natural_cq(coupling=lam, diffusion=2.0 * t_c)
+        d = cq.diffusion
+        published = occupation_number(cq).n
+        saturated = mapped_occupation(d, 1.0 / (4.0 * d))
+        assert abs(published - mapped_occupation(d, 1.0 / d)) <= 0.01
+        assert abs(occupation_from_keldysh(cq) - saturated) <= 0.01
+        if t_c < 1.0:
+            assert abs(published - saturated) >= 0.3
+
+
 # ---------------------------------------------------------------------------
 # correlators
 
@@ -140,7 +140,6 @@ def test_keldysh_route_documented_discrepancy():
 def test_hybrid_correlator_reference_equal_time():
     table = hybrid_correlators(natural_cq(), np.array([0.0]))
     assert table.keldysh[0] == pytest.approx(0.625)
-    assert table.occupation_equal_time == pytest.approx(0.125)
 
 
 def test_hybrid_correlators_finite_at_vanishing_coupling():

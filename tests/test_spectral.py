@@ -7,6 +7,7 @@ from hybridosc import (
     ClassificationFailure,
     CouplingZero,
     DegeneratePoles,
+    NotStable,
     OverdampedUnsupported,
     PerfectCorrelation,
     PoleOnAxis,
@@ -327,6 +328,10 @@ def test_small_lambda_errors():
     with pytest.raises(OverdampedUnsupported):
         correlators_small_lambda(
             make_params(1.0, 0.04, 1.0, 1.0, 1.0, 1.0, 1.0, 0.05), np.array([0.0])
+        )
+    with pytest.raises(NotStable):  # w2 = 0, refused like perturbative_poles
+        correlators_small_lambda(
+            make_params(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.05), np.array([0.0])
         )
 
 
