@@ -105,11 +105,16 @@ def map_to_classical(cq: CQParams) -> SystemParams:
     """The equivalent classical pair for symmetrised hybrid observables.
 
     Oscillator 1 is the classical one unchanged; oscillator 2 represents the
-    quantum average branch, undamped, with induced diffusion
-    D2 = D0 * coupling^2.  At zero coupling the induced diffusion vanishes:
-    decoupled, the quantum oscillator suffers no decoherence.
+    quantum average branch, undamped, with induced diffusion D2 = D0 *
+    coupling^2 (OverflowError if that leaves the float range).  At zero
+    coupling it vanishes: decoupled, the quantum oscillator has no decoherence.
     """
-    return _classical_pair(cq, cq.decoherence_rate * cq.coupling**2 if cq.coupling else 0.0)
+    induced = cq.decoherence_rate * cq.coupling**2 if cq.coupling else 0.0
+    if not math.isfinite(induced):
+        raise OverflowError(
+            f"induced diffusion lam^2/(4 D) overflows at D = {cq.diffusion}, lam = {cq.coupling}"
+        )
+    return _classical_pair(cq, induced)
 
 
 class Occupation(NamedTuple):

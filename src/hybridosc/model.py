@@ -165,19 +165,20 @@ class DriftNoise:
     """Drift matrix theta and noise amplitude sigma of the OU form.
 
     ``theta`` follows the sign convention dz = -theta z dt + sigma dW, so a
-    stable system has eigenvalues of theta with positive real parts.  The
-    originating :class:`SystemParams` is kept so downstream consumers (energy
-    diagnostics, stability certificates) do not need to reverse-engineer the
-    matrix entries.
+    stable system has eigenvalues of theta with positive real parts.  Built
+    by :func:`assemble_drift_noise`; ``params`` is the :class:`SystemParams`
+    the matrices come from, read by the stability certificate and the energy.
     """
 
     theta: np.ndarray
     sigma: np.ndarray
-    params: SystemParams | None = None
+    params: SystemParams
 
     state_order = STATE_ORDER
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, SystemParams):
+            raise TypeError(f"params must be SystemParams, got {type(self.params).__name__}")
         theta = np.asarray(self.theta, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
         if theta.shape != (4, 4) or sigma.shape != (4, 4):
@@ -191,15 +192,8 @@ class DriftNoise:
 
     @property
     def diffusion_matrix(self) -> np.ndarray:
-        """sigma @ sigma.T, the diffusion matrix of the process.
-
-        When the originating parameters are attached the diagonal is taken
-        from them directly, so the entries are exactly (0, D1, 0, D2) with no
-        sqrt round-trip error.
-        """
-        if self.params is not None:
-            return np.diag([0.0, self.params.osc1.diffusion, 0.0, self.params.osc2.diffusion])
-        return self.sigma @ self.sigma.T
+        """sigma @ sigma.T = diag(0, D1, 0, D2), read from the parameters (no sqrt round trip)."""
+        return np.diag([0.0, self.params.osc1.diffusion, 0.0, self.params.osc2.diffusion])
 
 
 def assemble_drift_noise(params: SystemParams) -> DriftNoise:

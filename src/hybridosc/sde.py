@@ -106,8 +106,7 @@ class EnsembleStats:
     ``cov`` holds unbiased sample covariances; their standard errors use the
     Gaussian sampling formula Var(C_ij) = (C_ii C_jj + C_ij^2)/(n-1), exact
     for this process.  ``energy_mean`` is the sample mean of the total
-    mechanical energy (kinetic + both springs + coupling spring); it is NaN
-    when the drift/noise pair carries no originating parameters.
+    mechanical energy (kinetic + both springs + coupling spring).
     """
 
     times: np.ndarray
@@ -305,8 +304,7 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None
     """
     _check_step_size(dn, cfg)
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
-    # without parameters there is no energy: a NaN weight carries NaN through
-    weight = energy_weight_matrix(dn.params) if dn.params is not None else np.full((4, 4), np.nan)
+    weight = energy_weight_matrix(dn.params)
 
     chunks = [
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))

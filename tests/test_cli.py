@@ -240,15 +240,35 @@ def test_rejected_input_is_config_error(argv, tmp_path, capsys):
 _NUMERICAL_REFUSALS = {
     "small_lambda_undriven_w2": ["correlators", "--method", "small-lambda", "--k2", "0"],
     "float_overflow": ["stability", "--lambda", "1e308", "--k1", "1e308"],
+    # the Lyapunov solve overflows; the closed form holds inf entries at 9e-155
+    "lyapunov_overflow_k1_zero": ["steadystate", "--k1", "0", "--m2", "1.5", "--lambda", "9e-155"],
+    "lyapunov_overflow": ["steadystate", "--lambda", "1e-160"],
+    # (lam/m2)^2 underflows to 0: the certificate fails, both routes refuse
+    "coupling_squared_underflow": ["steadystate", "--lambda", "1e-170"],
+    "cq_induced_diffusion_overflow": ["cq", "--D", "1e-320"],
 }
 
 
 @pytest.mark.parametrize("argv", _NUMERICAL_REFUSALS.values(), ids=_NUMERICAL_REFUSALS.keys())
-def test_numerical_refusal_exits_3(argv, capsys):
+def test_numerical_refusal_exits_3(argv, capsys, recwarn):
     assert run_cli(argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert err.count("\n") == 1
+    # a warning would be a second stderr line outside the test harness
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize(
+    "key, cause",
+    [
+        ("coupling_squared_underflow", "NotStable: no steady state"),
+        ("cq_induced_diffusion_overflow", "OverflowError: induced diffusion lam^2/(4 D) overflows"),
+    ],
+)
+def test_numerical_refusal_names_its_cause(key, cause, capsys):
+    assert run_cli(_NUMERICAL_REFUSALS[key]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(f"numerical failure: {cause}")
 
 
 @pytest.mark.parametrize(

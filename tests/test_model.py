@@ -10,6 +10,7 @@ from hybridosc import (
     assemble_drift_noise,
     characteristic_polynomial,
 )
+from hybridosc.model import DriftNoise
 
 from conftest import make_params, stable_params
 
@@ -78,6 +79,14 @@ def test_validation_rejects_bad_parameters():
             osc2=OscillatorParams(1, 1, damping=0.5),
             coupling=0.1,
         )
+
+
+def test_drift_noise_requires_its_parameters():
+    dn = assemble_drift_noise(SystemParams.natural_units(0.4))
+    with pytest.raises(TypeError, match="SystemParams"):
+        DriftNoise(theta=dn.theta, sigma=dn.sigma, params=None)
+    with pytest.raises(TypeError):
+        DriftNoise(theta=dn.theta, sigma=dn.sigma)
 
 
 def test_json_round_trip(tmp_path):

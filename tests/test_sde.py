@@ -93,12 +93,11 @@ def test_sample_trajectory_deterministic_and_matches_ensemble_member():
 
 
 def test_zero_noise_zero_drift_constant_series():
-    from hybridosc.model import DriftNoise
-
-    dn = DriftNoise(theta=np.zeros((4, 4)), sigma=np.zeros((4, 4)), params=None)
+    # free particles at rest: the drift is nilpotent (zero spectrum) and nothing moves
+    dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
     cfg = SimConfig(
         dt=1e-2, t_final=1.0, n_trajectories=1, seed=0,
-        initial_state=np.array([0.3, -0.2, 0.1, 0.4]),
+        initial_state=np.array([0.3, 0.0, 0.1, 0.0]),
     )
     _, path = sample_trajectory(dn, cfg, 0)
     assert np.all(path == path[0])
@@ -177,18 +176,16 @@ def test_step_size_hard_error_and_warning():
 
 
 def test_overflow_detected():
-    # flip the sign of the drift: exponential blow-up must be reported
-    params = SystemParams.natural_units(0.3)
-    base = assemble_drift_noise(params)
-    from hybridosc.model import DriftNoise
-
-    runaway = DriftNoise(theta=-base.theta, sigma=base.sigma, params=None)
+    # forward Euler grows an undamped oscillator by sqrt(1 + dt^2) per step:
+    # at dt = 0.9 the path leaves the float range near t = 2150
+    runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
     cfg = SimConfig(
-        dt=5e-2, t_final=2000.0, n_trajectories=1, seed=0,
+        dt=0.9, t_final=3000.0, n_trajectories=1, seed=0,
         initial_state=np.array([1.0, 0.0, 0.0, 0.0]),
     )
-    with pytest.raises(NumericalOverflow):
-        sample_trajectory(runaway, cfg, 0)
+    with pytest.warns(UserWarning, match="discretisation bias"):
+        with pytest.raises(NumericalOverflow, match="near t = 2"):
+            sample_trajectory(runaway, cfg, 0)
 
 
 def test_config_validation():

@@ -1,20 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from hybridosc import (
     CouplingZero,
     NotStable,
+    SingularSystem,
     SystemParams,
     assemble_drift_noise,
     closed_form_covariances,
     evolve_moments,
     find_poles,
     lyapunov_residual,
+    routh_hurwitz,
     solve_lyapunov,
 )
-from hybridosc.model import DriftNoise
 
 from conftest import make_params, stable_params
 
@@ -132,15 +136,48 @@ def test_unstable_system_raises():
         closed_form_covariances(make_params(1, 1, 0.0, 1, 1, 1, 1, 0.5))
 
 
-def test_solve_without_params_back_reference():
-    params = SystemParams.natural_units(0.4)
-    reference = solve_lyapunov(assemble_drift_noise(params))
-    bare = DriftNoise(
-        theta=assemble_drift_noise(params).theta,
-        sigma=assemble_drift_noise(params).sigma,
-        params=None,
-    )
-    np.testing.assert_allclose(solve_lyapunov(bare), reference, atol=1e-14)
+_edge_params = st.builds(
+    make_params,
+    m1=st.floats(0.3, 3.0),
+    k1=st.sampled_from([0.0]) | st.floats(0.3, 3.0),
+    alpha=st.sampled_from([0.0]) | st.floats(0.05, 2.5),
+    d1=st.floats(0.0, 2.0),
+    m2=st.floats(0.3, 3.0),
+    k2=st.sampled_from([0.0]) | st.floats(0.3, 3.0),
+    d2=st.floats(0.0, 2.0),
+    # log-uniform down to where (lam/m2)^2 underflows to 0
+    lam=st.floats(-170.0, 0.5).map(lambda e: 10.0**e),
+)
+
+
+def _refuses_not_stable(route) -> bool:
+    try:
+        route()
+    except NotStable:
+        return True
+    except (SingularSystem, ArithmeticError):
+        # the certificate passed but the float range gave out (lam near 1e-160)
+        pass
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@example(params=make_params(1, 1, 1, 1, 1, 1, 1, 1e-170))
+@given(params=_edge_params)
+def test_certificate_alone_decides_existence(params):
+    refused = not routh_hurwitz(params).routh_hurwitz_pass
+    assert _refuses_not_stable(lambda: closed_form_covariances(params)) == refused
+    assert _refuses_not_stable(lambda: solve_lyapunov(assemble_drift_noise(params))) == refused
+
+
+def test_nonfinite_solve_is_singular():
+    # the solve overflows: refused before any overflow warning reaches the caller
+    k1_zero = make_params(1, 0, 1, 1, 1.5, 1, 1, 9e-155)
+    for params in (k1_zero, make_params(1, 1, 1, 1, 1, 1, 1, 1e-160)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem):
+                solve_lyapunov(assemble_drift_noise(params))
 
 
 def test_evolve_moments_stationary_fixed_point():
