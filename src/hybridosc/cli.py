@@ -4,10 +4,10 @@ Subcommands: simulate, stability, steadystate, correlators, poles, cq,
 verify.  Parameters come from a single JSON config document (--config) with
 individual flags overriding file values.  Exit codes come from ``main``
 alone: 0 success; 2 rejected input (a ``ValueError``, ``TypeError`` or
-``OSError`` from any flag, config value or file, output path or
-``HYBRID_OSC_THREADS``), with one ``config error:`` line; 3 numerical
-refusal (``HybridOscError``, ``LinAlgError`` or an ``ArithmeticError`` such as
-a float overflow); 4 verification failure.
+``OSError`` from any flag, config value or file, or output path), with one
+``config error:`` line; 3 numerical refusal (``HybridOscError``,
+``LinAlgError`` or an ``ArithmeticError`` such as a float overflow); 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _cmd_simulate(args, config) -> int:
         output_stride=sim["output_stride"] and int(sim["output_stride"]),
         **kwargs,
     )
-    stats = sde.simulate_ensemble(dn, cfg, threads=args.threads)
+    stats = sde.simulate_ensemble(dn, cfg)
     buf = io.StringIO()
     stats.write_csv(buf)
     _emit(buf.getvalue(), args.output)
@@ -236,10 +236,9 @@ def _cmd_cq(args, config) -> int:
 
 def _cmd_verify(args, config) -> int:
     params = _system_params(args, config)
-    sde.thread_count(None)  # reject a bad HYBRID_OSC_THREADS before any check runs
     checks = verify.run_checks(
         params,
-        seed=args.seed if args.seed is not None else 0,
+        seed=int(_merged({"seed": 0}, config, args)["seed"]),
         mc_trajectories=args.mc_trajectories,
         tol_scale=args.tol_scale,
     )
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="ensemble statistics CSV", parents=[common])
     _add_flags(p, _DEFAULT_PARAMS)
     _add_flags(p, _DEFAULT_SIM)
-    p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("poles", help="independent pole pair as JSON", parents=[common])
     _add_flags(p, _DEFAULT_PARAMS)

@@ -126,21 +126,8 @@ class SystemParams:
         missing = [k for k in _PARAM_KEYS if k not in data]
         if missing:
             raise ValueError(f"missing parameter keys: {missing}")
-        return cls(
-            osc1=OscillatorParams(
-                mass=data["m1"],
-                spring_constant=data["k1"],
-                damping=data["alpha"],
-                diffusion=data["D1"],
-            ),
-            osc2=OscillatorParams(
-                mass=data["m2"],
-                spring_constant=data["k2"],
-                damping=0.0,
-                diffusion=data["D2"],
-            ),
-            coupling=data["lambda"],
-        )
+        m1, k1, alpha, d1, m2, k2, d2, lam = (data[k] for k in _PARAM_KEYS)
+        return cls(OscillatorParams(m1, k1, alpha, d1), OscillatorParams(m2, k2, 0.0, d2), lam)
 
     @classmethod
     def from_json(cls, path) -> "SystemParams":
@@ -148,16 +135,10 @@ class SystemParams:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "m1": self.osc1.mass,
-            "k1": self.osc1.spring_constant,
-            "alpha": self.osc1.damping,
-            "D1": self.osc1.diffusion,
-            "m2": self.osc2.mass,
-            "k2": self.osc2.spring_constant,
-            "D2": self.osc2.diffusion,
-            "lambda": self.coupling,
-        }
+        o1, o2 = self.osc1, self.osc2
+        values = (o1.mass, o1.spring_constant, o1.damping, o1.diffusion,
+                  o2.mass, o2.spring_constant, o2.diffusion, self.coupling)
+        return dict(zip(_PARAM_KEYS, values))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ substream, ``Philox(key=seed).jumped(i)``.  If an initial Gaussian is
 requested the first four normals of the substream seed the initial state;
 the rest drive the noise.  Each chunk returns its moments as arrays over all
 output steps, merged with Chan's pairwise update in fixed chunk order, so
-results are bitwise identical for any thread count.
+results are bitwise identical for any number of workers (one per usable CPU).
 """
 
 from __future__ import annotations
@@ -30,20 +30,18 @@ from .errors import NumericalOverflow, SingularSystem
 from .model import DriftNoise, SystemParams, energy_weight_matrix
 from .steadystate import validate_covariance
 
-# fixed work decomposition; part of the reproducibility contract
+# trajectories per chunk: the merge order, so part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
-BLOCK_STEPS = 2048
+# noise steps drawn at once per chunk: bounds memory only, results do not depend on it
+BLOCK_STEPS = 1024
 
 DT_WARN_FACTOR = 0.1
 DT_ERROR_FACTOR = 1.0
 
 
-def thread_count(threads: int | None) -> int:
-    value = threads if threads is not None else os.environ.get("HYBRID_OSC_THREADS") or 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ValueError(f"HYBRID_OSC_THREADS must be an integer, got {value!r}") from None
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -210,14 +208,16 @@ def _finite(z: np.ndarray, indices: range, t: float) -> np.ndarray:
     return z
 
 
-def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndarray):
-    """Step trajectories ``indices`` together, one row of ``z`` each; yield (k, z) at output k."""
+def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndarray, buf=None):
+    """Step ``indices`` together, one row of ``z`` each, noise in ``buf``; yield (k, z) at output k."""
     dt = cfg.dt
     theta_dt_t = (dn.theta * dt).T
     noise_t = dn.sigma.T * np.sqrt(dt)
     n_steps = cfg.n_steps
     rngs = [_trajectory_rng(cfg.seed, i) for i in indices]
     n_traj = len(rngs)
+    if buf is None:
+        buf = np.empty((BLOCK_STEPS, n_traj, 4))
 
     if cfg.initial_state is not None:
         z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n_traj, 1))
@@ -234,7 +234,7 @@ def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndar
         yield 0, _finite(z, indices, 0.0)
         while step < n_steps:
             block = min(BLOCK_STEPS, n_steps - step)
-            noise = np.empty((block, n_traj, 4))
+            noise = buf[:block, :n_traj]
             for j, rng in enumerate(rngs):
                 noise[:, j, :] = rng.standard_normal((block, 4))
             for b in range(block):
@@ -251,12 +251,13 @@ def _run_chunk(
     indices: range,
     output_steps: np.ndarray,
     weight: np.ndarray,
+    buf: np.ndarray,
 ):
     """One block of trajectories' (count, mean, m2, e_mean, e_m2) at every output step."""
     n_out = len(output_steps)
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
     e_mean, e_m2 = np.empty(n_out), np.empty(n_out)
-    for k, z in _steps(dn, cfg, indices, output_steps):
+    for k, z in _steps(dn, cfg, indices, output_steps, buf):
         mean[k] = z.mean(axis=0)
         centred = z - mean[k]
         m2[k] = centred.T @ centred
@@ -293,14 +294,15 @@ def _in_chunk_order(pool: ThreadPoolExecutor, run, chunks: list, window: int):
         yield pending.popleft().result()
 
 
-def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None) -> EnsembleStats:
+def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     """Integrate an ensemble and return streaming moment statistics.
 
     Trajectories are partitioned into fixed-size chunks; chunks run on a
-    thread pool (capped by ``threads`` or the HYBRID_OSC_THREADS environment
-    variable) and are merged in chunk order as they arrive, so the result
-    does not depend on the thread count and at most one unmerged chunk
-    result per worker is held at a time.
+    thread pool with one worker per usable CPU (at most one per chunk) and
+    are merged in chunk order as they arrive, so the result does not depend
+    on the worker count and at most one unmerged chunk result per worker is
+    held at a time.  Memory grows with the worker count, never with the
+    ensemble size.
     """
     _check_step_size(dn, cfg)
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
@@ -310,10 +312,15 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig, threads: int | None = None
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
     ]
-    n_workers = min(thread_count(threads), len(chunks))
+    n_workers = min(_usable_cpus(), len(chunks))
+    # chunk i starts after chunk i - n_workers has finished (_in_chunk_order), so the two
+    # share a noise buffer; blocks freed per chunk can stay resident in the allocator
+    buffers = [np.empty((BLOCK_STEPS, len(chunks[0]), 4)) for _ in range(n_workers)]
+    jobs = [(idx, buffers[i % n_workers]) for i, idx in enumerate(chunks)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         results = _in_chunk_order(
-            pool, lambda idx: _run_chunk(dn, cfg, idx, output_steps, weight), chunks, n_workers
+            pool, lambda job: _run_chunk(dn, cfg, job[0], output_steps, weight, job[1]),
+            jobs, n_workers,
         )
         n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, results)
 

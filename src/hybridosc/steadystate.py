@@ -25,6 +25,8 @@ from .stability import _hurwitz_criteria
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 RESIDUAL_RTOL = 1e-10
+# the cross-route tolerance of `verify` and acceptance criterion 2
+FORWARD_RTOL = 1e-8
 
 
 def validate_covariance(cov: np.ndarray) -> np.ndarray:
@@ -56,8 +58,10 @@ def solve_lyapunov(dn: DriftNoise) -> np.ndarray:
         If the steady state does not exist: the stability certificate of
         ``dn.params`` (:func:`hybridosc.stability.routh_hurwitz`) fails.
     SingularSystem
-        If the linear solve is rank-deficient or leaves the float range (its
-        residual is then not finite), or the residual exceeds tolerance.
+        If the linear solve is rank-deficient or leaves the float range, or
+        its backward error |theta C + C theta^T - Q| / (2 |theta| |C| + |Q|)
+        exceeds ``RESIDUAL_RTOL`` or, times the condition number (a bound on
+        the relative error of C), ``FORWARD_RTOL``.
     """
     if not _hurwitz_criteria(dn.params)[1]:
         raise NotStable("no steady state: stability certificate fails (marginal)")
@@ -75,10 +79,14 @@ def solve_lyapunov(dn: DriftNoise) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         cov = 0.5 * (cov + cov.T)
         resid = lyapunov_residual(theta, cov, q)
-
-    q_scale = max(float(np.max(np.abs(q))), np.finfo(float).tiny)
-    if not resid <= RESIDUAL_RTOL * q_scale:
-        raise SingularSystem(f"Lyapunov residual {resid:.3e} exceeds {RESIDUAL_RTOL:.0e} * |Q|")
+        scale = 2 * np.max(np.abs(theta)) * np.max(np.abs(cov)) + np.max(np.abs(q))
+        scale = max(scale, np.finfo(float).tiny)  # subnormal noise underflows both sides
+        # near-singular at tiny coupling, where a small backward error no longer means an accurate C
+        cond = np.linalg.cond(kron, np.inf)
+        accurate = resid <= RESIDUAL_RTOL * scale and cond * resid <= FORWARD_RTOL * scale
+    if not (np.isfinite(resid) and accurate):
+        raise SingularSystem(f"Lyapunov solve not accurate: residual {resid:.3e}, "
+                             f"2|theta||C| + |Q| = {scale:.3e}, condition number {cond:.3e}")
     return validate_covariance(cov)
 
 
@@ -87,7 +95,8 @@ def closed_form_covariances(params: SystemParams) -> np.ndarray:
 
     Requires coupling > 0 (several entries carry 1/coupling factors, so zero
     coupling raises :class:`CouplingZero`) and a steady state, decided as in
-    :func:`solve_lyapunov` by the stability certificate alone.
+    :func:`solve_lyapunov` by the stability certificate alone.  A coupling
+    so small that an entry leaves the float range raises ``OverflowError``.
 
     The ten independent entries, with g1 = alpha/m1, w_i the bare
     frequencies, l_i = coupling/m_i and den = w2^2 l1 + w1^2 (w2^2 + l2):
@@ -120,33 +129,37 @@ def closed_form_covariances(params: SystemParams) -> np.ndarray:
     l2 = lam / m2
     den = w2s * l1 + w1s * (w2s + l2)
 
-    p1p1 = (d1 + (m1 / m2) * d2) / (2 * g1)
-    p2p2 = (
-        d2 * (1 + (m1 * m2 / lam**2) * ((w1s - w2s + l1 - l2) ** 2 + g1**2 * (w2s + l2)))
-        + (m2 / m1) * d1
-    ) / (2 * g1)
-    q1q1 = (d1 * (l2 + w2s) + (m1 / m2) * d2 * (l1 + w1s)) / (2 * g1 * m1**2 * den)
-    q2q2 = (
-        (m2 / m1) * d1 * (w1s + l1)
-        + d2
-        * (m1 * m2 / lam**2)
-        * ((w1s + l1) ** 3 + (w1s * (w2s + l2) + w2s * l1) * (w2s - 2 * w1s + l2 - 2 * l1 + g1**2))
-    ) / (2 * g1 * m2**2 * den)
-    p1p2 = (d2 / (2 * g1)) * (m1 / lam) * (w1s - w2s + l1 - l2)
-    q1p2 = -d2 / (2 * lam)
-    q2p1 = (d2 / (2 * lam)) * (m1 / m2)
-    q1q2 = (
-        d1 * l1 + d2 * (m1 / lam) * ((w1s + l1) ** 2 - w2s * l1 - w1s * (w2s + l2))
-    ) / (2 * g1 * m1 * m2 * den)
+    try:
+        p1p1 = (d1 + (m1 / m2) * d2) / (2 * g1)
+        p2p2 = (
+            d2 * (1 + (m1 * m2 / lam**2) * ((w1s - w2s + l1 - l2) ** 2 + g1**2 * (w2s + l2)))
+            + (m2 / m1) * d1
+        ) / (2 * g1)
+        q1q1 = (d1 * (l2 + w2s) + (m1 / m2) * d2 * (l1 + w1s)) / (2 * g1 * m1**2 * den)
+        q2q2 = (
+            (m2 / m1) * d1 * (w1s + l1)
+            + d2
+            * (m1 * m2 / lam**2)
+            * ((w1s + l1) ** 3 + (w1s * (w2s + l2) + w2s * l1) * (w2s - 2 * w1s + l2 - 2 * l1 + g1**2))
+        ) / (2 * g1 * m2**2 * den)
+        p1p2 = (d2 / (2 * g1)) * (m1 / lam) * (w1s - w2s + l1 - l2)
+        q1p2 = -d2 / (2 * lam)
+        q2p1 = (d2 / (2 * lam)) * (m1 / m2)
+        q1q2 = (
+            d1 * l1 + d2 * (m1 / lam) * ((w1s + l1) ** 2 - w2s * l1 - w1s * (w2s + l2))
+        ) / (2 * g1 * m1 * m2 * den)
 
-    cov = np.array(
-        [
+        cov = np.array([
             [q1q1, 0.0, q1q2, q1p2],
             [0.0, p1p1, q2p1, p1p2],
             [q1q2, q2p1, q2q2, 0.0],
             [q1p2, p1p2, 0.0, p2p2],
-        ]
-    )
+        ])
+        finite = np.isfinite(cov).all()
+    except ArithmeticError:  # lam**2 underflows to 0, or a power overflows
+        finite = False
+    if not finite:
+        raise OverflowError(f"closed-form covariances leave the float range at coupling {lam:.3g}")
     return cov
 
 

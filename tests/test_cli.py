@@ -52,6 +52,18 @@ def test_config_file_and_flag_override(tmp_path):
     assert json.loads(out.read_text())["routh_hurwitz_pass"] is True
 
 
+def test_verify_reads_the_config_seed(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1}))
+    argv = ["verify", "--lambda", "0.4", "--mc-trajectories", "200"]
+    assert run_cli(["--config", str(config), "-o", str(tmp_path / "c.json"), *argv]) == EXIT_OK
+    assert run_cli(["-o", str(tmp_path / "f.json"), *argv, "--seed", "1"]) == EXIT_OK
+    assert run_cli(["-o", str(tmp_path / "d.json"), *argv]) == EXIT_OK
+    from_config = (tmp_path / "c.json").read_text()
+    assert from_config == (tmp_path / "f.json").read_text()
+    assert from_config != (tmp_path / "d.json").read_text()
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert run_cli(["--config", str(tmp_path / "nope.json"), "stability"]) == EXIT_CONFIG
 
@@ -91,6 +103,26 @@ def test_simulate_stationary_initial(tmp_path):
     assert code == EXIT_OK
     rows = out.read_text().splitlines()
     assert len(rows) > 2
+
+
+# a stable system with stationary variances near 3e6: the Lyapunov residual is
+# 9e-10 against |Q| = 1.34, yet the solve is exact to rounding
+_LARGE_VARIANCE_SYSTEM = [
+    "--m1", "2.7096276413765787", "--k1", "2.473316485833507", "--alpha", "0.7578931292223429",
+    "--D1", "1.22", "--m2", "0.4493127682945618", "--k2", "2.815011130400565", "--D2", "1.34",
+    "--lambda", "0.005656065624521977",
+]
+
+
+def test_large_variance_system_is_solved(tmp_path):
+    out = tmp_path / "ss.json"
+    assert run_cli(["-o", str(out), "steadystate", *_LARGE_VARIANCE_SYSTEM]) == EXIT_OK
+    assert json.loads(out.read_text())["max_relative_discrepancy"] <= 1e-8
+    code = run_cli([
+        "-o", str(tmp_path / "s.csv"), "simulate", *_LARGE_VARIANCE_SYSTEM, "--dt", "0.01",
+        "--t-final", "0.1", "--n-trajectories", "8", "--initial", "stationary",
+    ])
+    assert code == EXIT_OK
 
 
 def test_poles_json(tmp_path):
@@ -179,27 +211,6 @@ def _single_config_error(capsys):
     assert err.count("\n") == 1
 
 
-def test_bad_thread_environment_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HYBRID_OSC_THREADS", "abc")
-    code = run_cli([
-        "-o", str(tmp_path / "s.csv"), "simulate", "--dt", "0.01", "--t-final", "0.1",
-        "--n-trajectories", "4",
-    ])
-    assert code == EXIT_CONFIG
-    _single_config_error(capsys)
-
-
-def test_bad_thread_environment_fails_verify_before_checks(monkeypatch, capsys):
-    monkeypatch.setenv("HYBRID_OSC_THREADS", "abc")
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("checks ran before the thread setting was rejected")
-
-    monkeypatch.setattr(verify, "run_checks", forbidden)
-    assert run_cli(["verify", "--lambda", "0.4"]) == EXIT_CONFIG
-    _single_config_error(capsys)
-
-
 def test_stability_defective_marginal_spectrum(capsys):
     code = run_cli(["stability", "--k1", "0", "--k2", "0", "--alpha", "0", "--lambda", "1"])
     assert code == EXIT_OK
@@ -240,9 +251,12 @@ def test_rejected_input_is_config_error(argv, tmp_path, capsys):
 _NUMERICAL_REFUSALS = {
     "small_lambda_undriven_w2": ["correlators", "--method", "small-lambda", "--k2", "0"],
     "float_overflow": ["stability", "--lambda", "1e308", "--k1", "1e308"],
-    # the Lyapunov solve overflows; the closed form holds inf entries at 9e-155
+    # both routes leave the float range; the closed form, run first, refuses
     "lyapunov_overflow_k1_zero": ["steadystate", "--k1", "0", "--m2", "1.5", "--lambda", "9e-155"],
     "lyapunov_overflow": ["steadystate", "--lambda", "1e-160"],
+    "closed_form_overflow": ["steadystate", "--lambda", "1e-158"],
+    # lam^2 underflows to 0 but (lam/m2)^2 does not: the certificate passes
+    "closed_form_coupling_squared_zero": ["steadystate", "--m2", "0.3", "--lambda", "1e-162"],
     # (lam/m2)^2 underflows to 0: the certificate fails, both routes refuse
     "coupling_squared_underflow": ["steadystate", "--lambda", "1e-170"],
     "cq_induced_diffusion_overflow": ["cq", "--D", "1e-320"],
@@ -263,6 +277,10 @@ def test_numerical_refusal_exits_3(argv, capsys, recwarn):
     "key, cause",
     [
         ("coupling_squared_underflow", "NotStable: no steady state"),
+        ("closed_form_overflow", "OverflowError: closed-form covariances leave the float range"
+         " at coupling 1e-158"),
+        ("closed_form_coupling_squared_zero", "OverflowError: closed-form covariances leave the"
+         " float range at coupling 1e-162"),
         ("cq_induced_diffusion_overflow", "OverflowError: induced diffusion lam^2/(4 D) overflows"),
     ],
 )
@@ -329,7 +347,7 @@ _FLAG_SURFACE = {
     "simulate": {
         **_COMMON_FLAGS, **_PARAM_FLAGS,
         "--dt": float, "--t-final": float, "--n-trajectories": int, "--seed": int,
-        "--output-stride": int, "--initial": None, "--threads": int,
+        "--output-stride": int, "--initial": None,
     },
     "poles": {**_COMMON_FLAGS, **_PARAM_FLAGS, "--perturbative": int},
     "correlators": {

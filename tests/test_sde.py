@@ -36,16 +36,38 @@ def test_same_seed_same_statistics():
     assert np.array_equal(s1.cov, s2.cov)
 
 
-def test_thread_count_does_not_change_results():
+_STATS_ARRAYS = ("times", "mean", "mean_stderr", "cov", "cov_stderr", "energy_mean", "energy_stderr")
+
+
+def test_thread_count_does_not_change_results(monkeypatch):
+    from hybridosc import sde
+
     params = SystemParams.natural_units(0.3)
     dn = assemble_drift_noise(params)
     cfg = SimConfig(dt=1e-2, t_final=1.0, n_trajectories=2100, seed=5)
-    serial = simulate_ensemble(dn, cfg, threads=1)
-    threaded = simulate_ensemble(dn, cfg, threads=4)
-    for name in (
-        "times", "mean", "mean_stderr", "cov", "cov_stderr", "energy_mean", "energy_stderr"
-    ):
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    serial = simulate_ensemble(dn, cfg)
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 4)
+    threaded = simulate_ensemble(dn, cfg)
+    for name in _STATS_ARRAYS:
         assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+
+def test_noise_block_length_does_not_change_results(monkeypatch):
+    # 1100 trajectories make two chunks; 100 steps in blocks of 7 end in a
+    # partial block of 2
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3))
+    cfg = SimConfig(
+        dt=1e-2, t_final=1.0, n_trajectories=1100, seed=6,
+        initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=3,
+    )
+    default = simulate_ensemble(dn, cfg)
+    monkeypatch.setattr(sde, "BLOCK_STEPS", 7)
+    blocked = simulate_ensemble(dn, cfg)
+    for name in _STATS_ARRAYS:
+        assert np.array_equal(getattr(default, name), getattr(blocked, name)), name
 
 
 def test_merged_chunks_equal_pooled_moments():
@@ -303,9 +325,3 @@ def test_chunks_merge_in_order_with_bounded_window():
             results.append(value)
     assert results == [c * 10 for c in range(7)]
 
-
-def test_bad_thread_environment_is_a_value_error(monkeypatch):
-    monkeypatch.setenv("HYBRID_OSC_THREADS", "abc")
-    dn = assemble_drift_noise(SystemParams.natural_units(0.3))
-    with pytest.raises(ValueError, match="HYBRID_OSC_THREADS"):
-        simulate_ensemble(dn, SimConfig(dt=1e-2, t_final=0.1, n_trajectories=2, seed=0))

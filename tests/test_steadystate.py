@@ -180,6 +180,81 @@ def test_nonfinite_solve_is_singular():
                 solve_lyapunov(assemble_drift_noise(params))
 
 
+# stationary variances near 3e6: the residual is 9e-10 against |Q| = 1.34
+LARGE_VARIANCE = make_params(
+    2.7096276413765787, 2.473316485833507, 0.7578931292223429, 1.22,
+    0.4493127682945618, 2.815011130400565, 1.34, 0.005656065624521977,
+)
+
+
+def test_residual_bound_scales_with_the_solution():
+    cov = solve_lyapunov(assemble_drift_noise(LARGE_VARIANCE))
+    closed = closed_form_covariances(LARGE_VARIANCE)
+    assert np.max(np.abs(cov - closed)) <= 1e-12 * np.max(np.abs(cov))
+
+
+def test_subnormal_noise_is_solved():
+    # residual and bound both underflow to the smallest subnormal
+    params = make_params(1.0, 1.0, 1.0, 5e-324, 1.0, 1.0, 0.0, 1.0)
+    assert np.max(np.abs(solve_lyapunov(assemble_drift_noise(params)))) <= 1e-320
+
+
+def test_ill_conditioned_solve_is_refused():
+    # at coupling 3e-7 the backward error is 1e-18, yet the solve misses the
+    # closed form by 3.5e-4 relative: the condition number (~1e15) says so
+    params = make_params(2.516, 2.615, 1.232, 1.571, 0.592, 1.809, 1.714, 3e-7)
+    closed_form_covariances(params)
+    with pytest.raises(SingularSystem, match="Lyapunov solve not accurate"):
+        solve_lyapunov(assemble_drift_noise(params))
+    # a well-conditioned system at a smaller coupling is solved to rounding
+    tiny = SystemParams.natural_units(1e-7)
+    cov = solve_lyapunov(assemble_drift_noise(tiny))
+    assert np.max(np.abs(cov - closed_form_covariances(tiny))) <= 1e-12 * np.max(np.abs(cov))
+
+
+@pytest.mark.parametrize("params", [SystemParams.natural_units(0.05), LARGE_VARIANCE])
+def test_residual_guard_refuses_a_perturbed_solve(params, monkeypatch):
+    # offset the symmetric pair C[0, 2] = C[2, 0] by 1e-6 max|C| (vec indices 2 and 8)
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        step = 1e-6 * np.max(np.abs(x))
+        x[[2, 8]] += step
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(SingularSystem, match="Lyapunov solve not accurate"):
+        solve_lyapunov(assemble_drift_noise(params))
+
+
+def test_residual_guard_refuses_an_overflowing_residual(monkeypatch):
+    # C[0, 1] = C[1, 0] = 8.7e307 is finite, but both the residual and the
+    # bound's 2 |theta| |C| overflow to inf; inf <= inf must not pass
+    solve = np.linalg.solve
+
+    def huge(a, b):
+        x = solve(a, b)
+        x[[1, 4]] = 8.7e307
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="residual inf"):
+            solve_lyapunov(assemble_drift_noise(SystemParams.natural_units(0.05)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [make_params(1, 1, 1, 1, 0.3, 1, 1, 1e-162), SystemParams.natural_units(1e-158)],
+    ids=["coupling_squared_zero", "infinite_entries"],
+)
+def test_closed_form_overflow_names_the_coupling(params):
+    with pytest.raises(OverflowError, match=f"coupling {params.coupling:.3g}"):
+        closed_form_covariances(params)
+
+
 def test_evolve_moments_stationary_fixed_point():
     params = SystemParams.natural_units(0.4)
     dn = assemble_drift_noise(params)
