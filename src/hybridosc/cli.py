@@ -135,9 +135,8 @@ def _cmd_simulate(args, config) -> int:
     if initial == "zero":
         kwargs["initial_state"] = np.zeros(4)
     elif initial == "stationary":
-        cov = steadystate.solve_lyapunov(dn)
         kwargs["initial_mean"] = np.zeros(4)
-        kwargs["initial_cov"] = cov
+        kwargs["initial_cov"] = steadystate.closed_form_covariances(params)
     elif isinstance(initial, dict) and "state" in initial:
         kwargs["initial_state"] = np.asarray(initial["state"], dtype=float)
     elif isinstance(initial, dict) and "mean" in initial and "cov" in initial:

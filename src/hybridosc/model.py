@@ -5,7 +5,7 @@ The model is two harmonic oscillators joined by a spring of stiffness
 is undamped (it may still be driven).  Written in first-order form the state
 is the 4-vector z = (q1, p1, q2, p2) and the dynamics is the linear SDE
 
-    dz = -theta @ z dt + sigma @ dW,
+    dz = -theta @ z dt + sigma @ dW,      sigma = diag(0, sqrt(D1), 0, sqrt(D2)),
 
 an Ornstein-Uhlenbeck process.  Every module in this package uses the
 (q1, p1, q2, p2) state ordering; nothing else is supported.
@@ -143,16 +143,16 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DriftNoise:
-    """Drift matrix theta and noise amplitude sigma of the OU form.
+    """Drift matrix theta of the OU form and the parameters behind it.
 
     ``theta`` follows the sign convention dz = -theta z dt + sigma dW, so a
     stable system has eigenvalues of theta with positive real parts.  Built
     by :func:`assemble_drift_noise`; ``params`` is the :class:`SystemParams`
-    the matrices come from, read by the stability certificate and the energy.
+    theta comes from, the one source of the noise strengths, the stability
+    certificate and the energy.
     """
 
     theta: np.ndarray
-    sigma: np.ndarray
     params: SystemParams
 
     state_order = STATE_ORDER
@@ -161,15 +161,10 @@ class DriftNoise:
         if not isinstance(self.params, SystemParams):
             raise TypeError(f"params must be SystemParams, got {type(self.params).__name__}")
         theta = np.asarray(self.theta, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if theta.shape != (4, 4) or sigma.shape != (4, 4):
-            raise ValueError("theta and sigma must be 4x4")
-        if not (np.isfinite(theta).all() and np.isfinite(sigma).all()):
-            raise ValueError("theta and sigma must be finite")
+        if theta.shape != (4, 4) or not np.isfinite(theta).all():
+            raise ValueError("theta must be a finite 4x4 matrix")
         theta.setflags(write=False)
-        sigma.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "sigma", sigma)
 
     @property
     def diffusion_matrix(self) -> np.ndarray:
@@ -178,11 +173,11 @@ class DriftNoise:
 
 
 def assemble_drift_noise(params: SystemParams) -> DriftNoise:
-    """Build the 4x4 drift and noise matrices for the coupled pair.
+    """Build the 4x4 drift matrix for the coupled pair.
 
     The drift encodes q1' = p1/m1, p1' = -(k1+lam) q1 - (alpha/m1) p1 + lam q2
-    and the mirrored equations for the undamped oscillator; the noise matrix
-    is diag(0, sqrt(D1), 0, sqrt(D2)).
+    and the mirrored equations for the undamped oscillator; the noise
+    strengths are read from ``params`` where they are used.
     """
     o1, o2, lam = params.osc1, params.osc2, params.coupling
     theta = np.array(
@@ -193,8 +188,7 @@ def assemble_drift_noise(params: SystemParams) -> DriftNoise:
             [-lam, 0.0, o2.spring_constant + lam, 0.0],
         ]
     )
-    sigma = np.diag([0.0, math.sqrt(o1.diffusion), 0.0, math.sqrt(o2.diffusion)])
-    return DriftNoise(theta=theta, sigma=sigma, params=params)
+    return DriftNoise(theta=theta, params=params)
 
 
 def characteristic_polynomial(params: SystemParams) -> np.ndarray:

@@ -2,17 +2,19 @@
 
 The scheme is the plain forward step
 
-    z <- z - theta z dt + sigma sqrt(dt) eta,      eta ~ N(0, I) iid,
+    z <- (I - theta dt) z + sqrt(dt) (0, sqrt(D1) eta1, 0, sqrt(D2) eta2),
 
-which is weakly first order and entirely adequate for additive noise (and,
-for additive noise, the Ito/Stratonovich distinction is moot).
+eta ~ N(0, I) iid, which is weakly first order and entirely adequate for
+additive noise (and, for additive noise, the Ito/Stratonovich distinction is
+moot).  Only the momenta are driven, so a step needs two normals.
 
 Reproducibility model: trajectory ``i`` consumes a dedicated counter-based
 substream, ``Philox(key=seed).jumped(i)``.  If an initial Gaussian is
 requested the first four normals of the substream seed the initial state;
-the rest drive the noise.  Each chunk returns its moments as arrays over all
-output steps, merged with Chan's pairwise update in fixed chunk order, so
-results are bitwise identical for any number of workers (one per usable CPU).
+after that each step takes two, (eta1, eta2) for (p1, p2).  Each chunk
+returns its moments as arrays over all output steps, merged with Chan's
+pairwise update in fixed chunk order, so results are bitwise identical for
+any number of workers (one per usable CPU).
 """
 
 from __future__ import annotations
@@ -183,8 +185,9 @@ def _check_step_size(dn: DriftNoise, cfg: SimConfig) -> None:
 
 
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
+    # the state of Philox(key=seed).jumped(index), set up by one generator rather than two
     key = np.uint64(int(seed) % (1 << 64))
-    return np.random.Generator(np.random.Philox(key=key).jumped(index))
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, index, 0]))
 
 
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
@@ -209,15 +212,18 @@ def _finite(z: np.ndarray, indices: range, t: float) -> np.ndarray:
 
 
 def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndarray, buf=None):
-    """Step ``indices`` together, one row of ``z`` each, noise in ``buf``; yield (k, z) at output k."""
+    """Step ``indices`` together, one row of ``z`` each, noise in ``buf``; yield (k, z) at output k.
+
+    ``buf[j]`` is trajectory j's contiguous block of (p1, p2) normals, filled from its substream.
+    """
     dt = cfg.dt
-    theta_dt_t = (dn.theta * dt).T
-    noise_t = dn.sigma.T * np.sqrt(dt)
+    step_t = np.eye(4) - (dn.theta * dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(dt)  # the driven rows p1, p2 of sigma
     n_steps = cfg.n_steps
     rngs = [_trajectory_rng(cfg.seed, i) for i in indices]
     n_traj = len(rngs)
     if buf is None:
-        buf = np.empty((BLOCK_STEPS, n_traj, 4))
+        buf = np.empty((n_traj, BLOCK_STEPS, 2))
 
     if cfg.initial_state is not None:
         z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n_traj, 1))
@@ -234,11 +240,11 @@ def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndar
         yield 0, _finite(z, indices, 0.0)
         while step < n_steps:
             block = min(BLOCK_STEPS, n_steps - step)
-            noise = buf[:block, :n_traj]
+            noise = buf[:n_traj, :block]
             for j, rng in enumerate(rngs):
-                noise[:, j, :] = rng.standard_normal((block, 4))
+                rng.standard_normal((block, 2), out=noise[j])
             for b in range(block):
-                z = z - z @ theta_dt_t + noise[b] @ noise_t
+                z = z @ step_t + noise[:, b] @ amp
                 step += 1
                 k = out_pos.get(step)
                 if k is not None:
@@ -315,7 +321,7 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     n_workers = min(_usable_cpus(), len(chunks))
     # chunk i starts after chunk i - n_workers has finished (_in_chunk_order), so the two
     # share a noise buffer; blocks freed per chunk can stay resident in the allocator
-    buffers = [np.empty((BLOCK_STEPS, len(chunks[0]), 4)) for _ in range(n_workers)]
+    buffers = [np.empty((len(chunks[0]), BLOCK_STEPS, 2)) for _ in range(n_workers)]
     jobs = [(idx, buffers[i % n_workers]) for i, idx in enumerate(chunks)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         results = _in_chunk_order(

@@ -105,6 +105,16 @@ def test_simulate_stationary_initial(tmp_path):
     assert len(rows) > 2
 
 
+def test_simulate_stationary_start_is_the_closed_form(tmp_path, capsys):
+    # at lambda = 1e-8 the Lyapunov solve is refused (condition number 6e16) while the
+    # closed form is a valid covariance; at zero coupling there is no stationary start
+    argv = ["simulate", "--dt", "0.01", "--t-final", "0.1", "--n-trajectories", "8",
+            "--initial", "stationary"]
+    assert run_cli(["-o", str(tmp_path / "s.csv"), *argv, "--lambda", "1e-8"]) == EXIT_OK
+    assert run_cli(["-o", str(tmp_path / "z.csv"), *argv, "--lambda", "0"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: CouplingZero")
+
+
 # a stable system with stationary variances near 3e6: the Lyapunov residual is
 # 9e-10 against |Q| = 1.34, yet the solve is exact to rounding
 _LARGE_VARIANCE_SYSTEM = [

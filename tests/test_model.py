@@ -34,7 +34,7 @@ def test_zero_coupling_block_diagonal():
 def test_zero_diffusion_gives_zero_noise():
     params = make_params(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.3)
     dn = assemble_drift_noise(params)
-    assert np.all(dn.sigma == 0.0)
+    assert np.all(dn.diffusion_matrix == 0.0)
 
 
 def test_noise_product_is_exact_diagonal():
@@ -84,9 +84,9 @@ def test_validation_rejects_bad_parameters():
 def test_drift_noise_requires_its_parameters():
     dn = assemble_drift_noise(SystemParams.natural_units(0.4))
     with pytest.raises(TypeError, match="SystemParams"):
-        DriftNoise(theta=dn.theta, sigma=dn.sigma, params=None)
+        DriftNoise(theta=dn.theta, params=None)
     with pytest.raises(TypeError):
-        DriftNoise(theta=dn.theta, sigma=dn.sigma)
+        DriftNoise(theta=dn.theta)
 
 
 def test_json_round_trip(tmp_path):

@@ -17,13 +17,34 @@ from conftest import make_params
 
 
 def test_noise_stream_partition_invariance():
-    # block-wise noise generation must reproduce row-wise generation; the
+    # block-wise noise generation into rows of a preallocated buffer, as the
+    # kernel draws it, must reproduce one draw of the whole stream; the
     # integrator's reproducibility contract rests on this property
     r1 = np.random.Generator(np.random.Philox(key=42).jumped(3))
-    a = r1.standard_normal((10, 4))
+    a = r1.standard_normal((10, 2))
     r2 = np.random.Generator(np.random.Philox(key=42).jumped(3))
-    b = np.vstack([r2.standard_normal((4, 4)), r2.standard_normal((6, 4))])
-    assert np.array_equal(a, b)
+    buf = np.empty((2, 10, 2))
+    r2.standard_normal((4, 2), out=buf[1, :4])
+    r2.standard_normal((6, 2), out=buf[1, 4:])
+    assert np.array_equal(a, buf[1])
+
+
+def test_stream_contract_two_normals_per_step():
+    # free particles from rest: p1 and p2 are the running sums of the
+    # substream's normals, column 0 for p1 and column 1 for p2.  sqrt(D dt) is
+    # a power of two, so scaling the running sum equals summing the scaled
+    # steps bitwise
+    d1, d2, dt, n_steps, seed, index = 4.0, 0.25, 1.0 / 64, 50, 13, 5
+    dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, d1, 1.0, 0.0, d2, 0.0))
+    cfg = SimConfig(
+        dt=dt, t_final=n_steps * dt, n_trajectories=8, seed=seed,
+        initial_state=np.zeros(4), output_stride=1,
+    )
+    _, path = sample_trajectory(dn, cfg, index)
+    eta = np.random.Generator(np.random.Philox(key=seed).jumped(index)).standard_normal((n_steps, 2))
+    assert np.array_equal(path[1:, 1], np.sqrt(d1 * dt) * np.cumsum(eta[:, 0]))
+    assert np.array_equal(path[1:, 3], np.sqrt(d2 * dt) * np.cumsum(eta[:, 1]))
+    assert np.all(path[0] == 0.0)
 
 
 def test_same_seed_same_statistics():
