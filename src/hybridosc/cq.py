@@ -202,8 +202,10 @@ def hybrid_correlators(cq: CQParams, t_grid: np.ndarray) -> HybridCorrelators:
     Every entry is finite and coupling-independent at this order: the
     trade-off makes the induced decoherence scale as lam^2, cancelling the
     lam^-2 growth the classical analogue would show.  Requires (near-)
-    identical oscillator parameters; for the general case map the system to
-    its classical equivalent and use :mod:`hybridosc.spectral`.
+    identical oscillator parameters.  In general only the exact routes on
+    :func:`map_to_classical` apply: the small-coupling g22 of
+    :mod:`hybridosc.spectral` omits D1/(2 g1 m1 m2 w2^2), which dominates
+    where D2 = lam^2/(4D).
     """
     if not (
         np.isclose(cq.classical_mass, cq.quantum_mass, rtol=1e-6)
@@ -211,7 +213,7 @@ def hybrid_correlators(cq: CQParams, t_grid: np.ndarray) -> HybridCorrelators:
     ):
         raise ValueError(
             "printed hybrid correlators assume identical oscillators; use "
-            "map_to_classical + spectral for general parameters"
+            "map_to_classical + the exact spectral routes for general parameters"
         )
     m = cq.classical_mass
     w = cq.classical_frequency

@@ -496,7 +496,8 @@ def correlators_small_lambda(params: SystemParams, t_grid: np.ndarray) -> Correl
     value E[q1 p2] = -D2/(2 lam) < 0.  An even sin(w2|t|) continuation would
     produce a slope of the wrong sign for t > 0 (verified against the exact
     residue transform); consequently g12 != g21, the two being time
-    reflections of one another.
+    reflections of one another.  Regime: D2 >> lam^2 D1 / (m1^2 R); g22 omits
+    the D1/(2 g1 m1 m2 w2^2) that leads at D2 = O(lam^2), all of g22 at D2 = 0.
     """
     o1, o2, lam = params.osc1, params.osc2, params.coupling
     if lam == 0.0:
@@ -550,7 +551,8 @@ def sigma_ratio(params: SystemParams) -> float:
 
     linear in the coupling.  (The 1/omega factor is required for the ratio
     to be dimensionless and for consistency with the correlator table; in
-    the natural units m = omega = 1 it is invisible.)
+    the natural units m = omega = 1 it is invisible.)  Regime as for the
+    forms: D2 >> lam^2 D1 / (m1^2 R).
     """
     o2 = params.osc2
     if o2.diffusion == 0.0:

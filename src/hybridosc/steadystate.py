@@ -9,7 +9,9 @@ Three independent routes to the same object:
   equation for this model, entry by entry.
 * :func:`evolve_moments` integrates the moment ODEs
   dC/dt = -theta C - C theta^T + sigma sigma^T, dmu/dt = -theta mu
-  and converges to the same fixed point for stable systems.
+  by RK4, whose fixed point is the same for stable systems.  Its n steps
+  compose by squaring in O(log2 n) 16x16 products, however slow the
+  relaxation (coupling range of the 1e-8 tolerance: :func:`evolve_moments`).
 
 Agreement of the three routes is the backbone of the test suite.
 """
@@ -163,24 +165,26 @@ def closed_form_covariances(params: SystemParams) -> np.ndarray:
     return cov
 
 
-def _rk4_covariances(thetas, diffusions, cov, h, n_steps: int) -> np.ndarray:
-    """``n_steps`` RK4 steps of dC/dt = -theta C - C theta^T + Q, symmetrised each step.
+def _rk4_power(gen, force, x, h, n_steps: int) -> np.ndarray:
+    """``x`` after ``n_steps`` RK4 steps of size ``h`` of dx/dt = gen x + force.
 
-    Takes one system (4x4) or a batch (n x 4 x 4, ``h`` of shape (n, 1, 1)).
+    One step is the affine map x <- x + d x + b, with s = I + hG/2 + (hG)^2/6
+    + (hG)^3/24, d = hG s and b = h s force.  Steps compose by the binary
+    digits of ``n_steps`` through (d, b) <- (2d + d^2, 2b + d b); carrying d
+    rather than the step matrix I + d keeps slow decays from rounding to 1.
+    One system, or a batch through leading axes (``h`` of shape (n, 1, 1)).
     """
-    theta_t = np.swapaxes(thetas, -1, -2)
-
-    def rhs(c):
-        return -(thetas @ c) - (c @ theta_t) + diffusions
-
-    for _ in range(n_steps):
-        k1 = rhs(cov)
-        k2 = rhs(cov + 0.5 * h * k1)
-        k3 = rhs(cov + 0.5 * h * k2)
-        k4 = rhs(cov + h * k3)
-        cov = cov + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    return cov
+    hg = h * gen
+    eye = np.eye(gen.shape[-1])
+    s = eye + hg @ (eye + hg @ (eye + hg / 4) / 3) / 2
+    d, b, x = hg @ s, h * (s @ force[..., None]), x[..., None]
+    while n_steps > 0:
+        if n_steps & 1:
+            x = x + (d @ x + b)
+        n_steps >>= 1
+        if n_steps:
+            d, b = 2 * d + d @ d, 2 * b + d @ b
+    return x[..., 0]
 
 
 def evolve_moments(
@@ -192,23 +196,25 @@ def evolve_moments(
 ):
     """Integrate the first and second moment ODEs on ``t_grid``.
 
-    Classic fixed-step RK4 between grid points.  For a linear constant
-    system the RK4 fixed point coincides with the exact stationary moments,
-    so ``max_step`` trades trajectory accuracy against runtime without
-    biasing the late-time limit; it defaults to 0.25 / max|eigenvalue|.
+    Fixed-step RK4 between grid points; the n steps of an interval compose
+    by squaring in about 2 log2(n) products.  For a linear constant system
+    the RK4 fixed point coincides with the exact stationary moments, so
+    ``max_step`` (default 0.25 / max|eigenvalue|) sets trajectory accuracy,
+    not run time, without biasing the late-time limit.  Rounding grows with
+    the squarings: run from zero to 15 / min Re(eig) in natural units, the
+    covariance is within 1e-8 of the closed form for 1e-4 <= lam <= 1e4.
 
     Returns
     -------
     (means, covs):
         Arrays of shape (n, 4) and (n, 4, 4) sampled at ``t_grid``.
     """
-    theta = dn.theta
-    q = dn.diffusion_matrix
+    theta, q = dn.theta, dn.diffusion_matrix[None]
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing with at least one point")
-    cov = validate_covariance(np.array(cov0, dtype=float))
-    mean = np.array(mean0, dtype=float).reshape(4)
+    covs = [validate_covariance(np.array(cov0, dtype=float))]
+    means = [np.array(mean0, dtype=float).reshape(4)]
 
     theta_scale = float(np.max(np.abs(np.linalg.eigvals(theta))))
     if max_step is None:
@@ -216,22 +222,11 @@ def evolve_moments(
     if max_step <= 0:
         raise ValueError("max_step must be positive")
 
-    means = np.empty((len(t_grid), 4))
-    covs = np.empty((len(t_grid), 4, 4))
-    means[0], covs[0] = mean, cov
-    for idx in range(1, len(t_grid)):
-        span = t_grid[idx] - t_grid[idx - 1]
+    for span in np.diff(t_grid):
         n_sub = max(1, int(np.ceil(span / max_step)))
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = -theta @ mean
-            k2 = -theta @ (mean + 0.5 * h * k1)
-            k3 = -theta @ (mean + 0.5 * h * k2)
-            k4 = -theta @ (mean + h * k3)
-            mean = mean + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        cov = _rk4_covariances(theta, q, cov, h, n_sub)
-        means[idx], covs[idx] = mean, cov
-    return means, covs
+        means.append(_rk4_power(-theta, np.zeros(4), means[-1], span / n_sub, n_sub))
+        covs.append(evolve_covariances_batch(theta[None], q, [span], n_sub, covs[-1][None])[0])
+    return np.array(means), np.array(covs)
 
 
 def evolve_covariances_batch(
@@ -241,17 +236,21 @@ def evolve_covariances_batch(
     n_steps: int,
     cov0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorised RK4 of dC/dt = -theta C - C theta^T + Q over a batch.
+    """RK4 of dC/dt = -theta C - C theta^T + Q over a batch, symmetrised once at the end.
 
-    Each system b is integrated from ``cov0[b]`` (zero if omitted) to its own
-    ``t_final[b]`` in ``n_steps`` equal steps.  Used by sweep studies and the
-    acceptance checks, where evolving 10^3 systems one by one would be
-    needlessly slow.  :func:`evolve_moments` steps its covariance with the
-    same integrator.
+    Each system b goes from ``cov0[b]`` (zero if omitted) to its own
+    ``t_final[b]`` in ``n_steps`` equal steps, composed by :func:`_rk4_power`
+    on vec C with the 16x16 generator -(theta (x) I + I (x) theta).  Used by
+    sweep studies and the acceptance checks; :func:`evolve_moments` evolves
+    its covariance as a batch of one.
     """
     thetas = np.asarray(thetas, dtype=float)
-    diffusions = np.asarray(diffusions, dtype=float)
     n = thetas.shape[0]
-    t_final = np.asarray(t_final, dtype=float).reshape(n, 1, 1)
-    cov = np.zeros_like(thetas) if cov0 is None else np.array(cov0, dtype=float)
-    return _rk4_covariances(thetas, diffusions, cov, t_final / n_steps, n_steps)
+    eye = np.eye(4)
+    # vec convention: (A @ X @ B.T).ravel() == kron(A, B) @ X.ravel()
+    gen = np.einsum("nik,jl->nijkl", thetas, eye) + np.einsum("ik,njl->nijkl", eye, thetas)
+    h = np.asarray(t_final, dtype=float).reshape(n, 1, 1) / n_steps
+    vec0 = np.zeros((n, 16)) if cov0 is None else np.asarray(cov0, dtype=float).reshape(n, 16)
+    q = np.asarray(diffusions, dtype=float).reshape(n, 16)
+    cov = _rk4_power(-gen.reshape(n, 16, 16), q, vec0, h, n_steps).reshape(n, 4, 4)
+    return 0.5 * (cov + np.swapaxes(cov, 1, 2))

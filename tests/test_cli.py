@@ -201,6 +201,15 @@ def test_verify_passes(tmp_path):
             "monte_carlo_vs_lyapunov_sigmas", "thermal_deviation_high_diffusion"} <= names
 
 
+def test_verify_passes_at_tiny_coupling(tmp_path):
+    # the moment-flow row relaxes over ~1e8 RK4 steps here, which the flow composes by squaring
+    out = tmp_path / "verify.json"
+    code = run_cli(["-o", str(out), "verify", "--lambda", "1e-3", "--mc-trajectories", "200"])
+    assert code == EXIT_OK
+    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert rows["moment_flow_vs_lyapunov"]["passed"] is True
+
+
 def test_verify_failure_exit_code(tmp_path):
     # an absurdly tightened tolerance scale must trip the failure exit code
     code = run_cli([

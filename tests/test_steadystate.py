@@ -329,6 +329,40 @@ def test_batch_of_one_equals_evolve_moments_bitwise():
     assert np.array_equal(batch[0], covs[-1])
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 64, 1000])
+def test_flow_composes_explicit_rk4_steps(n_steps):
+    # the flow composes steps by the binary digits of n_steps; the reference takes them one by one
+    dn = assemble_drift_noise(make_params(1.2, 0.9, 0.7, 1.3, 0.8, 1.1, 0.6, 0.45))
+    theta, q = dn.theta, dn.diffusion_matrix
+    h = 1 / 32  # a power of two, so the span n_steps * h splits into exactly n_steps steps
+    mean, cov = np.array([1.0, 0.0, -0.5, 0.2]), np.diag([0.3, 0.1, 0.2, 0.4])
+    means, covs = evolve_moments(dn, cov, mean, np.array([0.0, n_steps * h]), max_step=h)
+
+    def rk4(rhs, x):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    for _ in range(n_steps):
+        mean = rk4(lambda m: -theta @ m, mean)
+        cov = rk4(lambda c: -theta @ c - c @ theta.T + q, cov)
+    assert np.max(np.abs(means[-1] - mean)) <= 1e-13 * np.max(np.abs(mean))
+    assert np.max(np.abs(covs[-1] - cov)) <= 1e-13 * np.max(np.abs(cov))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-4])
+def test_evolve_moments_reaches_closed_form_at_tiny_coupling(lam):
+    # relaxing takes ~lam^-2 steps; composing them keeps the run short and within the 1e-8 tolerance
+    params = SystemParams.natural_units(lam)
+    dn = assemble_drift_noise(params)
+    t_relax = 15.0 / float(np.min(np.linalg.eigvals(dn.theta).real))
+    _, covs = evolve_moments(dn, np.zeros((4, 4)), np.zeros(4), np.array([0.0, t_relax]))
+    target = closed_form_covariances(params)
+    assert np.max(np.abs(covs[-1] - target)) <= 1e-8 * np.max(np.abs(target))
+
+
 def test_solve_lyapunov_certificate_is_arithmetic_only(monkeypatch):
     params = make_params(1.2, 0.9, 0.7, 1.3, 0.8, 1.1, 0.6, 0.45)
     dn = assemble_drift_noise(params)
