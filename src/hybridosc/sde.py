@@ -2,19 +2,34 @@
 
 The scheme is the plain forward step
 
-    z <- (I - theta dt) z + sqrt(dt) (0, sqrt(D1) eta1, 0, sqrt(D2) eta2),
+    z <- z A + sqrt(dt) (0, sqrt(D1) eta1, 0, sqrt(D2) eta2),   A = I - theta^T dt,
 
-eta ~ N(0, I) iid, which is weakly first order and entirely adequate for
-additive noise (and, for additive noise, the Ito/Stratonovich distinction is
-moot).  Only the momenta are driven, so a step needs two normals.
+with z a row vector and eta ~ N(0, I) iid, which is weakly first order and
+entirely adequate for additive noise (and, for additive noise, the
+Ito/Stratonovich distinction is moot).  Only the momenta are driven, so a
+step needs two normals.
+
+Between outputs the step is a linear recursion, so the kernel applies a run
+of L steps, a piece, as one product
+
+    z <- z A^L + (eta_0, ..., eta_{L-1}) M_L,   rows 2k, 2k+1 of M_L = amp A^(L-1-k),
+
+with amp the two driven rows of the noise amplitude and the L step pairs laid
+side by side in one row of 2L normals.  Pieces end at every output step and
+at every multiple of ``COMPOSE_STEPS`` counted from step 0; a one-step piece
+is exactly the forward step.  Outputs are reduced ``GROUP_OUTPUTS`` at a
+time.
 
 Reproducibility model: trajectory ``i`` consumes a dedicated counter-based
 substream, ``Philox(key=seed).jumped(i)``.  If an initial Gaussian is
 requested the first four normals of the substream seed the initial state;
-after that each step takes two, (eta1, eta2) for (p1, p2).  Each chunk
-returns its moments as arrays over all output steps, merged with Chan's
-pairwise update in fixed chunk order, so results are bitwise identical for
-any number of workers (one per usable CPU).
+after that each step takes two, (eta1, eta2) for (p1, p2).  The rounding is
+fixed by the output steps, ``CHUNK_TRAJECTORIES`` (the rows stepped together
+and the merge order) and ``COMPOSE_STEPS`` (the pieces); ``BLOCK_STEPS`` and
+``GROUP_OUTPUTS`` bound memory only.  Each chunk returns its moments as
+arrays over all output steps, merged with Chan's pairwise update in fixed
+chunk order, so results are bitwise identical for any number of workers (one
+per usable CPU).
 """
 
 from __future__ import annotations
@@ -36,6 +51,10 @@ from .steadystate import validate_covariance
 CHUNK_TRAJECTORIES = 1024
 # noise steps drawn at once per chunk: bounds memory only, results do not depend on it
 BLOCK_STEPS = 1024
+# longest run of steps composed into one product: fixes where pieces end, so the rounding
+COMPOSE_STEPS = 64
+# outputs reduced at once: bounds memory only, results do not depend on it
+GROUP_OUTPUTS = 16
 
 DT_WARN_FACTOR = 0.1
 DT_ERROR_FACTOR = 1.0
@@ -143,7 +162,7 @@ class EnsembleStats:
 
 
 def _energy(states: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("...i,ij,...j->...", states, weight, states)
+    return 0.5 * np.einsum("...i,...i->...", states @ weight, states)
 
 
 def total_energy(params: SystemParams, states: np.ndarray) -> np.ndarray:
@@ -204,26 +223,59 @@ def _output_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
-def _finite(z: np.ndarray, indices: range, t: float) -> np.ndarray:
-    if not np.isfinite(z).all():
-        bad = int(indices[np.flatnonzero(~np.isfinite(z).all(axis=1))[0]])
-        raise NumericalOverflow(f"trajectory {bad} overflowed near t = {t:.6g}")
-    return z
+def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray:
+    """``states`` (g, n, 4) at output ``times``; name the earliest output's first bad trajectory."""
+    finite = np.isfinite(states).all(axis=-1)
+    if not finite.all():
+        out, row = np.argwhere(~finite)[0]
+        raise NumericalOverflow(f"trajectory {indices[row]} overflowed near t = {times[out]:.6g}")
+    return states
+
+
+def _noise_steps() -> int:
+    return max(BLOCK_STEPS, COMPOSE_STEPS)
+
+
+def _piece_maps(step_t: np.ndarray, amp: np.ndarray):
+    """A^L for L = 0..COMPOSE_STEPS, and M whose last 2L rows are the noise map M_L of a piece."""
+    powers = [np.eye(4), step_t]
+    for _ in range(COMPOSE_STEPS - 1):
+        powers.append(powers[-1] @ step_t)
+    powers = np.array(powers)
+    # rows 2k, 2k + 1: amp A^(COMPOSE_STEPS - 1 - k)
+    gain = (amp @ powers[-2::-1]).reshape(-1, 4)
+    return powers, gain
+
+
+def _pieces(output_steps: np.ndarray):
+    """(length, ends at an output) of each piece, cut at outputs and multiples of COMPOSE_STEPS."""
+    step = 0
+    for out in output_steps[1:].tolist():
+        while step < out:
+            stop = min(out, (step // COMPOSE_STEPS + 1) * COMPOSE_STEPS)
+            yield stop - step, stop == out
+            step = stop
 
 
 def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndarray, buf=None):
-    """Step ``indices`` together, one row of ``z`` each, noise in ``buf``; yield (k, z) at output k.
+    """Step ``indices`` together, one row each, noise in ``buf``; yield (k0, states) per group.
 
-    ``buf[j]`` is trajectory j's contiguous block of (p1, p2) normals, filled from its substream.
+    ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS; the
+    next group overwrites it.  ``buf[j]`` is trajectory j's contiguous run of
+    (p1, p2) normals, filled from its substream; a piece that would cross the
+    end of the drawn normals moves their unused tail to the front first, so a
+    piece's normals always sit side by side.
     """
     dt = cfg.dt
     step_t = np.eye(4) - (dn.theta * dt).T
     amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(dt)  # the driven rows p1, p2 of sigma
+    powers, gain = _piece_maps(step_t, amp)
     n_steps = cfg.n_steps
     rngs = [_trajectory_rng(cfg.seed, i) for i in indices]
     n_traj = len(rngs)
     if buf is None:
-        buf = np.empty((n_traj, BLOCK_STEPS, 2))
+        buf = np.empty((n_traj, _noise_steps(), 2))
+    noise = buf[:n_traj]
 
     if cfg.initial_state is not None:
         z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n_traj, 1))
@@ -234,21 +286,31 @@ def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndar
     else:
         z = np.zeros((n_traj, 4))
 
-    out_pos = {int(s): k for k, s in enumerate(output_steps)}
-    step = 0
+    times = output_steps * dt
+    group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), n_traj, 4))
+    group[0] = z
+    k0, g = 0, 1  # group[:g] holds outputs k0 .. k0 + g - 1
+    pos = drawn = held = 0  # noise[:, pos:held] is drawn and unused; drawn steps in all
     with np.errstate(over="ignore", invalid="ignore"):
-        yield 0, _finite(z, indices, 0.0)
-        while step < n_steps:
-            block = min(BLOCK_STEPS, n_steps - step)
-            noise = buf[:n_traj, :block]
-            for j, rng in enumerate(rngs):
-                rng.standard_normal((block, 2), out=noise[j])
-            for b in range(block):
-                z = z @ step_t + noise[:, b] @ amp
-                step += 1
-                k = out_pos.get(step)
-                if k is not None:
-                    yield k, _finite(z, indices, step * dt)
+        for length, record in _pieces(output_steps):
+            if pos + length > held:
+                tail = held - pos
+                noise[:, :tail] = noise[:, pos:held]
+                more = min(noise.shape[1] - tail, n_steps - drawn)
+                for j, rng in enumerate(rngs):
+                    rng.standard_normal((more, 2), out=noise[j, tail : tail + more])
+                pos, held, drawn = 0, tail + more, drawn + more
+            eta = noise[:, pos : pos + length].reshape(n_traj, 2 * length)
+            z = z @ powers[length] + eta @ gain[2 * (COMPOSE_STEPS - length) :]
+            pos += length
+            if not record:
+                continue
+            if g == len(group):
+                yield k0, _finite(group, indices, times[k0:])
+                k0, g = k0 + g, 0
+            group[g] = z
+            g += 1
+        yield k0, _finite(group[:g], indices, times[k0:])
 
 
 def _run_chunk(
@@ -263,13 +325,14 @@ def _run_chunk(
     n_out = len(output_steps)
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
     e_mean, e_m2 = np.empty(n_out), np.empty(n_out)
-    for k, z in _steps(dn, cfg, indices, output_steps, buf):
-        mean[k] = z.mean(axis=0)
-        centred = z - mean[k]
-        m2[k] = centred.T @ centred
-        energies = _energy(z, weight)
-        e_mean[k] = energies.mean()
-        e_m2[k] = ((energies - e_mean[k]) ** 2).sum()
+    for k0, states in _steps(dn, cfg, indices, output_steps, buf):
+        out = slice(k0, k0 + len(states))
+        mean[out] = states.mean(axis=1)
+        centred = states - mean[out, None]
+        m2[out] = centred.transpose(0, 2, 1) @ centred
+        energies = _energy(states, weight)
+        e_mean[out] = energies.mean(axis=1)
+        e_m2[out] = ((energies - e_mean[out, None]) ** 2).sum(axis=1)
     return len(indices), mean, m2, e_mean, e_m2
 
 
@@ -321,7 +384,7 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     n_workers = min(_usable_cpus(), len(chunks))
     # chunk i starts after chunk i - n_workers has finished (_in_chunk_order), so the two
     # share a noise buffer; blocks freed per chunk can stay resident in the allocator
-    buffers = [np.empty((len(chunks[0]), BLOCK_STEPS, 2)) for _ in range(n_workers)]
+    buffers = [np.empty((len(chunks[0]), _noise_steps(), 2)) for _ in range(n_workers)]
     jobs = [(idx, buffers[i % n_workers]) for i, idx in enumerate(chunks)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         results = _in_chunk_order(
@@ -356,16 +419,18 @@ def sample_trajectory(dn: DriftNoise, cfg: SimConfig, index: int):
     """Integrate the single trajectory ``index`` of the ensemble.
 
     Returns (times, states) sampled at the output stride.  The path uses the
-    ensemble's noise substream and stepping kernel.  It is bitwise identical
-    to ensemble member ``index`` when that member's chunk holds one
-    trajectory; otherwise the chunk steps an n-row matrix, whose products
-    round differently from one row, and the two agree to a few ulp.
+    ensemble's noise substream and kernel, with the same pieces, so its cost
+    grows with the number of pieces (about n_steps / COMPOSE_STEPS plus the
+    outputs), not with the steps.  It is bitwise identical to ensemble member
+    ``index`` when that member's chunk holds one trajectory; otherwise the
+    chunk steps an n-row matrix, whose products round differently from one
+    row, and the two agree to a few ulp.
     """
     _check_step_size(dn, cfg)
     if not 0 <= index < cfg.n_trajectories:
         raise ValueError(f"index {index} outside [0, {cfg.n_trajectories})")
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
     states = np.empty((len(output_steps), 4))
-    for k, z in _steps(dn, cfg, range(index, index + 1), output_steps):
-        states[k] = z[0]
+    for k0, group in _steps(dn, cfg, range(index, index + 1), output_steps):
+        states[k0 : k0 + len(group)] = group[:, 0]
     return output_steps * cfg.dt, states

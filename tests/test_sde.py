@@ -91,6 +91,112 @@ def test_noise_block_length_does_not_change_results(monkeypatch):
         assert np.array_equal(getattr(default, name), getattr(blocked, name)), name
 
 
+def test_group_size_does_not_change_results(monkeypatch):
+    # 101 every-step outputs in groups of 3 end in a partial group of 2
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3))
+    cfg = SimConfig(
+        dt=1e-2, t_final=1.0, n_trajectories=1100, seed=6,
+        initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=1,
+    )
+    default = simulate_ensemble(dn, cfg)
+    monkeypatch.setattr(sde, "GROUP_OUTPUTS", 3)
+    grouped = simulate_ensemble(dn, cfg)
+    for name in _STATS_ARRAYS:
+        assert np.array_equal(getattr(default, name), getattr(grouped, name)), name
+
+
+def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
+    # the runaway of test_overflow_detected from scattered starts: the paths
+    # leave the float range about 2390 outputs in, far past the first group.
+    # At this seed trajectory 5 goes first and the lower ones follow within a
+    # few outputs, so the report must take the first bad output, then its
+    # first bad trajectory
+    from hybridosc import sde
+
+    runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
+    cfg = SimConfig(
+        dt=0.9, t_final=3000.0, n_trajectories=6, seed=7,
+        initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1.0, 1e-6, 1.0]), output_stride=1,
+    )
+    messages = []
+    for group in (1, 3, 16):
+        monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
+        with pytest.warns(UserWarning, match="discretisation bias"):
+            with pytest.raises(NumericalOverflow) as caught:
+                simulate_ensemble(runaway, cfg)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert messages[0].startswith("trajectory 5 overflowed near t = 2")
+
+
+def _per_step_em(dn, cfg, indices):
+    # the scheme one step at a time: z <- z (I - theta dt)^T + sqrt(dt) sigma eta
+    # on the driven rows, with each trajectory's normals read from its substream
+    z = np.tile(np.asarray(cfg.initial_state, dtype=float), (len(indices), 1))
+    step_t = np.eye(4) - (dn.theta * cfg.dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2] * cfg.dt)
+    eta = np.stack([
+        np.random.Generator(np.random.Philox(key=cfg.seed).jumped(i)).standard_normal((cfg.n_steps, 2))
+        for i in indices
+    ])
+    path = [z]
+    for k in range(cfg.n_steps):
+        z = z @ step_t + eta[:, k] @ amp
+        path.append(z)
+    return np.array(path)
+
+
+@pytest.mark.parametrize("stride", [1, 10, 150, 250])
+def test_composed_pieces_match_per_step_loop(monkeypatch, stride):
+    # 700 steps, COMPOSE_STEPS = 64: stride 1 is the plain step, stride 10
+    # cuts pieces at outputs and at multiples of 64, stride 150 mostly at
+    # multiples of 64 and ends in a partial gap of 100 steps whose last piece
+    # has 60; with 100-step noise blocks a stride-250 gap spans a block, so
+    # pieces cross the block end and carry normals over
+    from hybridosc import sde
+
+    assert sde.COMPOSE_STEPS == 64
+    monkeypatch.setattr(sde, "BLOCK_STEPS", 100)
+    params = SystemParams.natural_units(0.3, d1=1.5, d2=0.7)
+    dn = assemble_drift_noise(params)
+    cfg = SimConfig(
+        dt=1e-2, t_final=7.0, n_trajectories=40, seed=21,
+        initial_state=np.array([1.0, -0.5, 0.3, 0.8]), output_stride=stride,
+    )
+    output_steps = sde._output_steps(cfg.n_steps, stride)
+    ref = _per_step_em(dn, cfg, range(cfg.n_trajectories))[output_steps]
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    stats = simulate_ensemble(dn, cfg)
+    assert close(stats.mean, ref.mean(axis=1))
+    assert close(stats.cov, np.array([np.cov(z, rowvar=False) for z in ref]))
+    assert close(stats.energy_mean, total_energy(params, ref).mean(axis=1))
+    _, path = sample_trajectory(dn, cfg, 17)
+    assert close(path, ref[:, 17])
+
+
+def test_energy_is_the_quadratic_form():
+    rng = np.random.default_rng(4)
+    params = make_params(1.3, 0.8, 0.5, 0.0, 0.7, 1.9, 0.0, 0.45)
+    w = np.array(
+        [[0.8 + 0.45, 0.0, -0.45, 0.0], [0.0, 1 / 1.3, 0.0, 0.0],
+         [-0.45, 0.0, 1.9 + 0.45, 0.0], [0.0, 0.0, 0.0, 1 / 0.7]]
+    )
+    states = rng.standard_normal((3, 5, 4))
+    explicit = np.empty((3, 5))
+    for g in range(3):
+        for n in range(5):
+            z = states[g, n]
+            explicit[g, n] = 0.5 * sum(z[i] * w[i, j] * z[j] for i in range(4) for j in range(4))
+    np.testing.assert_allclose(total_energy(params, states), explicit, rtol=1e-14)
+    np.testing.assert_allclose(total_energy(params, states[1]), explicit[1], rtol=1e-14)
+    assert total_energy(params, states[1, 2]) == pytest.approx(explicit[1, 2], rel=1e-14)
+
+
 def test_merged_chunks_equal_pooled_moments():
     # 2100 trajectories make three chunks, the last one partial; the merged
     # moments must equal plain sample statistics of all trajectories at once
@@ -104,14 +210,15 @@ def test_merged_chunks_equal_pooled_moments():
     )
     stats = simulate_ensemble(dn, cfg)
     output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
-    for k, z in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
-        energies = total_energy(params, z)
-        np.testing.assert_allclose(stats.mean[k], z.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(stats.cov[k], np.cov(z, rowvar=False), rtol=1e-12)
-        np.testing.assert_allclose(stats.energy_mean[k], energies.mean(), rtol=1e-12)
-        np.testing.assert_allclose(
-            stats.energy_stderr[k], energies.std(ddof=1) / np.sqrt(len(z)), rtol=1e-12
-        )
+    for k0, group in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
+        for k, z in enumerate(group, k0):
+            energies = total_energy(params, z)
+            np.testing.assert_allclose(stats.mean[k], z.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(stats.cov[k], np.cov(z, rowvar=False), rtol=1e-12)
+            np.testing.assert_allclose(stats.energy_mean[k], energies.mean(), rtol=1e-12)
+            np.testing.assert_allclose(
+                stats.energy_stderr[k], energies.std(ddof=1) / np.sqrt(len(z)), rtol=1e-12
+            )
 
 
 def test_one_trajectory_ensemble_has_nan_spreads():
@@ -321,8 +428,8 @@ def test_sample_trajectory_matches_member_of_multi_trajectory_chunk():
     output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
     index = 211
     member = np.empty((len(output_steps), 4))
-    for k, z in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
-        member[k] = z[index]
+    for k0, group in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
+        member[k0 : k0 + len(group)] = group[:, index]
     _, path = sample_trajectory(dn, cfg, index)
     assert np.max(np.abs(path - member)) <= 1e-12 * np.max(np.abs(member))
 
