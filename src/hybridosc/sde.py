@@ -6,30 +6,30 @@ The scheme is the plain forward step
 
 with z a row vector and eta ~ N(0, I) iid, which is weakly first order and
 entirely adequate for additive noise (and, for additive noise, the
-Ito/Stratonovich distinction is moot).  Only the momenta are driven, so a
-step needs two normals.
+Ito/Stratonovich distinction is moot).
 
-Between outputs the step is a linear recursion, so the kernel applies a run
-of L steps, a piece, as one product
+Between outputs the step is a linear Gaussian recursion, so a gap of L
+steps from one output to the next is one move, exact in law:
 
-    z <- z A^L + (eta_0, ..., eta_{L-1}) M_L,   rows 2k, 2k+1 of M_L = amp A^(L-1-k),
+    z <- z A^L + zeta F_L,   F_L^T F_L = S_L = sum_{k<L} (amp A^k)^T (amp A^k),
 
-with amp the two driven rows of the noise amplitude and the L step pairs laid
-side by side in one row of 2L normals.  Pieces end at every output step and
-at every multiple of ``COMPOSE_STEPS`` counted from step 0; a one-step piece
-is exactly the forward step.  Outputs are reduced ``GROUP_OUTPUTS`` at a
-time.
+with amp the two driven rows of the noise amplitude and zeta ~ N(0, I).  A
+one-step gap is the forward step (F_1 = amp); a longer one has F_L a square
+root of S_L.  A^L and vec S_L compose by squaring, once per gap length, so
+strided runs keep the forward scheme's dt bias and dt * max|eigenvalue|
+ceiling but not its per-step samples.  S_L grows like the square of A^L: an
+unstable run is reported at the first output whose gap map overflows, which
+can be earlier than its states would.
 
 Reproducibility model: trajectory ``i`` consumes a dedicated counter-based
-substream, ``Philox(key=seed).jumped(i)``.  If an initial Gaussian is
-requested the first four normals of the substream seed the initial state;
-after that each step takes two, (eta1, eta2) for (p1, p2).  The rounding is
-fixed by the output steps, ``CHUNK_TRAJECTORIES`` (the rows stepped together
-and the merge order) and ``COMPOSE_STEPS`` (the pieces); ``BLOCK_STEPS`` and
-``GROUP_OUTPUTS`` bound memory only.  Each chunk returns its moments as
-arrays over all output steps, merged with Chan's pairwise update in fixed
-chunk order, so results are bitwise identical for any number of workers (one
-per usable CPU).
+substream, ``Philox(key=seed).jumped(i)``: four normals for a Gaussian
+start, then two per one-step gap, (eta1, eta2) for (p1, p2), and four per
+longer gap.  The rounding is fixed by the output steps and
+``CHUNK_TRAJECTORIES`` (the rows stepped together and the merge order);
+``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound memory only.  Each chunk returns
+its moments as arrays over all output steps, merged with Chan's pairwise
+update in fixed chunk order, so results are bitwise identical for any
+number of workers (one per usable CPU).
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ import numpy as np
 
 from .errors import NumericalOverflow, SingularSystem
 from .model import DriftNoise, SystemParams, energy_weight_matrix
-from .steadystate import validate_covariance
+from .steadystate import _affine_power, validate_covariance
 
 # trajectories per chunk: the merge order, so part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
-# noise steps drawn at once per chunk: bounds memory only, results do not depend on it
+# steps of an every-step run drawn at once (2 * BLOCK_STEPS normals per trajectory):
+# bounds memory only, results do not depend on it
 BLOCK_STEPS = 1024
-# longest run of steps composed into one product: fixes where pieces end, so the rounding
-COMPOSE_STEPS = 64
 # outputs reduced at once: bounds memory only, results do not depend on it
 GROUP_OUTPUTS = 16
 
@@ -203,12 +202,6 @@ def _check_step_size(dn: DriftNoise, cfg: SimConfig) -> None:
         )
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    # the state of Philox(key=seed).jumped(index), set up by one generator rather than two
-    key = np.uint64(int(seed) % (1 << 64))
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, index, 0]))
-
-
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     """PSD square root tolerant of semidefinite covariances."""
     vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
@@ -232,79 +225,86 @@ def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray
     return states
 
 
-def _noise_steps() -> int:
-    return max(BLOCK_STEPS, COMPOSE_STEPS)
+def _gap_map(drift: np.ndarray, amp: np.ndarray, length: int):
+    """(A^L, F_L) of a gap of ``length`` steps, A = I + ``drift``; all-NaN F_L if S_L overflows.
+
+    vec S follows S <- A^T S A + amp^T amp from 0: d = A^T (x) A^T - I, built
+    from E = A^T - I so that slow decays are not rounded off against 1.
+    """
+    eye = np.eye(4)
+    if length == 1:
+        return eye + drift, amp
+    power = _affine_power(drift, np.zeros((4, 4)), eye, length)
+    # vec convention: (A @ X @ B.T).ravel() == kron(A, B) @ X.ravel()
+    d = np.kron(drift.T, eye) + np.kron(eye, drift.T) + np.kron(drift.T, drift.T)
+    cov = _affine_power(d, (amp.T @ amp).ravel(), np.zeros(16), length).reshape(4, 4)
+    return power, _gaussian_factor(cov).T if np.isfinite(cov).all() else np.full((4, 4), np.nan)
 
 
-def _piece_maps(step_t: np.ndarray, amp: np.ndarray):
-    """A^L for L = 0..COMPOSE_STEPS, and M whose last 2L rows are the noise map M_L of a piece."""
-    powers = [np.eye(4), step_t]
-    for _ in range(COMPOSE_STEPS - 1):
-        powers.append(powers[-1] @ step_t)
-    powers = np.array(powers)
-    # rows 2k, 2k + 1: amp A^(COMPOSE_STEPS - 1 - k)
-    gain = (amp @ powers[-2::-1]).reshape(-1, 4)
-    return powers, gain
+def _noise_layout(cfg: SimConfig, output_steps: np.ndarray):
+    """Gap lengths, where each gap's normals end in a substream, and a buffer row's width."""
+    gaps = np.diff(output_steps)
+    ends = (4 if cfg.initial_mean is not None else 0) + np.cumsum(np.where(gaps == 1, 2, 4))
+    # room for the start and one gap, never more than a trajectory uses
+    return gaps, ends, int(min(max(2 * BLOCK_STEPS, 8), ends[-1]))
 
 
-def _pieces(output_steps: np.ndarray):
-    """(length, ends at an output) of each piece, cut at outputs and multiples of COMPOSE_STEPS."""
-    step = 0
-    for out in output_steps[1:].tolist():
-        while step < out:
-            stop = min(out, (step // COMPOSE_STEPS + 1) * COMPOSE_STEPS)
-            yield stop - step, stop == out
-            step = stop
+def _draws(seed: int, indices: range, ends: np.ndarray, noise: np.ndarray):
+    """Fill ``noise[j]`` with normals lo .. hi - 1 of trajectory ``indices[j]``; yield (lo, hi).
+
+    Each fill holds whole gaps.  One bit generator serves the chunk, its
+    counter set as in ``Philox(key=seed).jumped(i)``; a state is saved only
+    when a later fill needs it.
+    """
+    bitgen = np.random.Philox(key=np.uint64(int(seed) % (1 << 64)))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter (0, 0, 0, 0) and an empty buffer
+    saved = [None] * len(indices)
+    lo = 0
+    while lo < ends[-1]:
+        hi = int(ends[np.searchsorted(ends, lo + noise.shape[1], "right") - 1])
+        for j, i in enumerate(indices):
+            fresh["state"]["counter"][2] = i
+            bitgen.state = saved[j] or fresh  # a first fill starts the substream
+            rng.standard_normal(hi - lo, out=noise[j, : hi - lo])
+            if hi < ends[-1]:
+                saved[j] = bitgen.state
+        yield lo, hi
+        lo = hi
 
 
 def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndarray, buf=None):
     """Step ``indices`` together, one row each, noise in ``buf``; yield (k0, states) per group.
 
-    ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS; the
-    next group overwrites it.  ``buf[j]`` is trajectory j's contiguous run of
-    (p1, p2) normals, filled from its substream; a piece that would cross the
-    end of the drawn normals moves their unused tail to the front first, so a
-    piece's normals always sit side by side.
-    """
-    dt = cfg.dt
-    step_t = np.eye(4) - (dn.theta * dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(dt)  # the driven rows p1, p2 of sigma
-    powers, gain = _piece_maps(step_t, amp)
-    n_steps = cfg.n_steps
-    rngs = [_trajectory_rng(cfg.seed, i) for i in indices]
-    n_traj = len(rngs)
-    if buf is None:
-        buf = np.empty((n_traj, _noise_steps(), 2))
-    noise = buf[:n_traj]
+    ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS, and the next group
+    overwrites it.  Each gap is one move of :func:`_gap_map`."""
+    drift = -(dn.theta * cfg.dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(cfg.dt)  # the driven rows p1, p2 of sigma
+    gaps, ends, width = _noise_layout(cfg, output_steps)
+    n_traj = len(indices)
+    noise = (np.empty((n_traj, width)) if buf is None else buf)[:n_traj]
+    draws = _draws(cfg.seed, indices, ends, noise)
+    lo, hi = next(draws)
 
     if cfg.initial_state is not None:
         z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n_traj, 1))
     elif cfg.initial_mean is not None:
         factor = _gaussian_factor(cfg.initial_cov)
-        draws = np.stack([rng.standard_normal(4) for rng in rngs])
-        z = np.asarray(cfg.initial_mean, dtype=float).reshape(1, 4) + draws @ factor.T
+        z = np.asarray(cfg.initial_mean, dtype=float).reshape(1, 4) + noise[:, :4] @ factor.T
     else:
         z = np.zeros((n_traj, 4))
 
-    times = output_steps * dt
+    times = output_steps * cfg.dt
     group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), n_traj, 4))
     group[0] = z
     k0, g = 0, 1  # group[:g] holds outputs k0 .. k0 + g - 1
-    pos = drawn = held = 0  # noise[:, pos:held] is drawn and unused; drawn steps in all
     with np.errstate(over="ignore", invalid="ignore"):
-        for length, record in _pieces(output_steps):
-            if pos + length > held:
-                tail = held - pos
-                noise[:, :tail] = noise[:, pos:held]
-                more = min(noise.shape[1] - tail, n_steps - drawn)
-                for j, rng in enumerate(rngs):
-                    rng.standard_normal((more, 2), out=noise[j, tail : tail + more])
-                pos, held, drawn = 0, tail + more, drawn + more
-            eta = noise[:, pos : pos + length].reshape(n_traj, 2 * length)
-            z = z @ powers[length] + eta @ gain[2 * (COMPOSE_STEPS - length) :]
-            pos += length
-            if not record:
-                continue
+        maps = {length: _gap_map(drift, amp, length) for length in set(gaps.tolist())}
+        for length, end in zip(gaps.tolist(), ends):
+            if end > hi:
+                lo, hi = next(draws)
+            power, factor = maps[length]
+            z = z @ power + noise[:, end - lo - len(factor) : end - lo] @ factor
             if g == len(group):
                 yield k0, _finite(group, indices, times[k0:])
                 k0, g = k0 + g, 0
@@ -384,7 +384,8 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     n_workers = min(_usable_cpus(), len(chunks))
     # chunk i starts after chunk i - n_workers has finished (_in_chunk_order), so the two
     # share a noise buffer; blocks freed per chunk can stay resident in the allocator
-    buffers = [np.empty((len(chunks[0]), _noise_steps(), 2)) for _ in range(n_workers)]
+    width = _noise_layout(cfg, output_steps)[2]
+    buffers = [np.empty((len(chunks[0]), width)) for _ in range(n_workers)]
     jobs = [(idx, buffers[i % n_workers]) for i, idx in enumerate(chunks)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         results = _in_chunk_order(
@@ -419,12 +420,11 @@ def sample_trajectory(dn: DriftNoise, cfg: SimConfig, index: int):
     """Integrate the single trajectory ``index`` of the ensemble.
 
     Returns (times, states) sampled at the output stride.  The path uses the
-    ensemble's noise substream and kernel, with the same pieces, so its cost
-    grows with the number of pieces (about n_steps / COMPOSE_STEPS plus the
-    outputs), not with the steps.  It is bitwise identical to ensemble member
-    ``index`` when that member's chunk holds one trajectory; otherwise the
-    chunk steps an n-row matrix, whose products round differently from one
-    row, and the two agree to a few ulp.
+    ensemble's noise substream and kernel, one move per gap between outputs,
+    so its cost grows with the number of outputs, not with the steps.  It is
+    bitwise identical to ensemble member ``index`` when that member's chunk
+    holds one trajectory; otherwise the chunk steps an n-row matrix, whose
+    products round differently from one row, and the two agree to a few ulp.
     """
     _check_step_size(dn, cfg)
     if not 0 <= index < cfg.n_trajectories:

@@ -165,26 +165,25 @@ def closed_form_covariances(params: SystemParams) -> np.ndarray:
     return cov
 
 
-def _rk4_power(gen, force, x, h, n_steps: int) -> np.ndarray:
-    """``x`` after ``n_steps`` RK4 steps of size ``h`` of dx/dt = gen x + force.
+def _affine_power(d, b, x, n: int) -> np.ndarray:
+    """``x`` after ``n`` maps x <- x + d x + b, squared as (d, b) <- (2d + d^2, 2b + d b);
+    carrying d rather than I + d keeps slow decays from rounding to 1."""
+    while n > 0:
+        if n & 1:
+            x = x + (d @ x + b)
+        n >>= 1
+        if n:
+            d, b = 2 * d + d @ d, 2 * b + d @ b
+    return x
 
-    One step is the affine map x <- x + d x + b, with s = I + hG/2 + (hG)^2/6
-    + (hG)^3/24, d = hG s and b = h s force.  Steps compose by the binary
-    digits of ``n_steps`` through (d, b) <- (2d + d^2, 2b + d b); carrying d
-    rather than the step matrix I + d keeps slow decays from rounding to 1.
-    One system, or a batch through leading axes (``h`` of shape (n, 1, 1)).
-    """
+
+def _rk4_power(gen, force, x, h, n_steps: int) -> np.ndarray:
+    """``x`` after ``n_steps`` RK4 steps of size ``h`` of dx/dt = gen x + force: d = hG s and
+    b = h s force, s = I + hG/2 + (hG)^2/6 + (hG)^3/24.  A batch has ``h`` of shape (n, 1, 1)."""
     hg = h * gen
     eye = np.eye(gen.shape[-1])
     s = eye + hg @ (eye + hg @ (eye + hg / 4) / 3) / 2
-    d, b, x = hg @ s, h * (s @ force[..., None]), x[..., None]
-    while n_steps > 0:
-        if n_steps & 1:
-            x = x + (d @ x + b)
-        n_steps >>= 1
-        if n_steps:
-            d, b = 2 * d + d @ d, 2 * b + d @ b
-    return x[..., 0]
+    return _affine_power(hg @ s, h * (s @ force[..., None]), x[..., None], n_steps)[..., 0]
 
 
 def evolve_moments(

@@ -279,6 +279,10 @@ _NUMERICAL_REFUSALS = {
     # (lam/m2)^2 underflows to 0: the certificate fails, both routes refuse
     "coupling_squared_underflow": ["steadystate", "--lambda", "1e-170"],
     "cq_induced_diffusion_overflow": ["cq", "--D", "1e-320"],
+    # undamped at dt = 0.09: the 1e5-step gap's noise covariance overflows
+    "gap_noise_overflow": ["simulate", "--alpha", "0", "--lambda", "0", "--dt", "0.09",
+                           "--t-final", "18000", "--output-stride", "100000",
+                           "--n-trajectories", "2"],
 }
 
 
@@ -301,6 +305,7 @@ def test_numerical_refusal_exits_3(argv, capsys, recwarn):
         ("closed_form_coupling_squared_zero", "OverflowError: closed-form covariances leave the"
          " float range at coupling 1e-162"),
         ("cq_induced_diffusion_overflow", "OverflowError: induced diffusion lam^2/(4 D) overflows"),
+        ("gap_noise_overflow", "NumericalOverflow: trajectory 0 overflowed near t = 9000\n"),
     ],
 )
 def test_numerical_refusal_names_its_cause(key, cause, capsys):

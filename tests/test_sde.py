@@ -20,6 +20,8 @@ def test_noise_stream_partition_invariance():
     # block-wise noise generation into rows of a preallocated buffer, as the
     # kernel draws it, must reproduce one draw of the whole stream; the
     # integrator's reproducibility contract rests on this property
+    from hybridosc import sde
+
     r1 = np.random.Generator(np.random.Philox(key=42).jumped(3))
     a = r1.standard_normal((10, 2))
     r2 = np.random.Generator(np.random.Philox(key=42).jumped(3))
@@ -27,6 +29,37 @@ def test_noise_stream_partition_invariance():
     r2.standard_normal((4, 2), out=buf[1, :4])
     r2.standard_normal((6, 2), out=buf[1, 4:])
     assert np.array_equal(a, buf[1])
+
+    # one bit generator whose counter is reset to (0, 0, 3, 0) reads the same
+    # stream, and saving its state mid-stream (an odd count, so inside a
+    # Philox block) and restoring it after other draws continues it
+    bitgen = np.random.Philox(key=42)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["state"]["counter"][2] = 3
+    bitgen.state = state
+    head = rng.standard_normal(7)
+    saved = bitgen.state
+    state["state"]["counter"][2] = 4
+    bitgen.state = state
+    rng.standard_normal(5)
+    bitgen.state = saved
+    assert np.array_equal(np.concatenate([head, rng.standard_normal(13)]), a.ravel())
+
+    # the kernel's fills: a start and gaps of 4, 4, 2, 4 and 2 normals in rows
+    # of 10 take three fills, each of whole gaps, for trajectories 3 .. 6
+    indices, ends = range(3, 7), np.array([4, 8, 12, 14, 18, 20])
+    noise = np.empty((4, 10))
+    got = [[] for _ in indices]
+    fills = []
+    for lo, hi in sde._draws(42, indices, ends, noise):
+        fills.append((lo, hi))
+        for row, normals in zip(got, noise[:, : hi - lo]):
+            row.append(normals.copy())
+    assert fills == [(0, 8), (8, 18), (18, 20)]
+    for i, row in zip(indices, got):
+        want = np.random.Generator(np.random.Philox(key=42).jumped(i)).standard_normal(20)
+        assert np.array_equal(np.concatenate(row), want)
 
 
 def test_stream_contract_two_normals_per_step():
@@ -148,16 +181,19 @@ def _per_step_em(dn, cfg, indices):
     return np.array(path)
 
 
-@pytest.mark.parametrize("stride", [1, 10, 150, 250])
+def _close(got, want, rtol):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("stride", [1])
 def test_composed_pieces_match_per_step_loop(monkeypatch, stride):
-    # 700 steps, COMPOSE_STEPS = 64: stride 1 is the plain step, stride 10
-    # cuts pieces at outputs and at multiples of 64, stride 150 mostly at
-    # multiples of 64 and ends in a partial gap of 100 steps whose last piece
-    # has 60; with 100-step noise blocks a stride-250 gap spans a block, so
-    # pieces cross the block end and carry normals over
+    # every gap between outputs is one step, so the kernel takes the plain
+    # forward step and must follow the per-step loop sample by sample; 700
+    # steps in 100-step noise blocks take seven fills, so each trajectory's
+    # substream is saved and restored between them.  Longer gaps are exact in
+    # law only (test_gap_map_matches_per_step_recursion and the tests after it)
     from hybridosc import sde
 
-    assert sde.COMPOSE_STEPS == 64
     monkeypatch.setattr(sde, "BLOCK_STEPS", 100)
     params = SystemParams.natural_units(0.3, d1=1.5, d2=0.7)
     dn = assemble_drift_noise(params)
@@ -168,15 +204,121 @@ def test_composed_pieces_match_per_step_loop(monkeypatch, stride):
     output_steps = sde._output_steps(cfg.n_steps, stride)
     ref = _per_step_em(dn, cfg, range(cfg.n_trajectories))[output_steps]
 
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
     stats = simulate_ensemble(dn, cfg)
-    assert close(stats.mean, ref.mean(axis=1))
-    assert close(stats.cov, np.array([np.cov(z, rowvar=False) for z in ref]))
-    assert close(stats.energy_mean, total_energy(params, ref).mean(axis=1))
+    assert _close(stats.mean, ref.mean(axis=1), 1e-13)
+    assert _close(stats.cov, np.array([np.cov(z, rowvar=False) for z in ref]), 1e-13)
+    assert _close(stats.energy_mean, total_energy(params, ref).mean(axis=1), 1e-13)
     _, path = sample_trajectory(dn, cfg, 17)
-    assert close(path, ref[:, 17])
+    assert _close(path, ref[:, 17], 1e-13)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 64, 2048, 5000])
+@pytest.mark.parametrize(
+    "params",
+    [SystemParams.natural_units(lam, d1=1.5, d2=0.7) for lam in (1e-3, 0.05, 1.0)]
+    # only p2 driven and no coupling: S_L has rank 2
+    + [make_params(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.7, 0.0)],
+    ids=["lam1e-3", "lam0.05", "lam1", "rank2"],
+)
+def test_gap_map_matches_per_step_recursion(params, length):
+    # A^L and S_L = sum_k (amp A^k)^T (amp A^k), the covariance of L steps'
+    # noise, against the forward step applied L times, at the dt of the
+    # acceptance Monte Carlo
+    power, cov, got_power, factor = _gap_map_and_loop(params, 5e-4, length)
+    assert len(factor) == (2 if length == 1 else 4)
+    assert _close(got_power, power, 1e-13)
+    assert _close(factor.T @ factor, cov, 1e-12)
+
+
+def _gap_map_and_loop(params, dt, length):
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(params)
+    step_t = np.eye(4) - (dn.theta * dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2] * dt)
+    power, cov = np.eye(4), np.zeros((4, 4))
+    for _ in range(length):
+        cov += (amp @ power).T @ (amp @ power)
+        power = power @ step_t
+    return (power, cov, *sde._gap_map(-(dn.theta * dt).T, amp, length))
+
+
+def test_gap_map_rounding_is_absolute_on_long_decays():
+    # A^L composes as x <- x + d x, so its rounding is about eps at the scale
+    # of I.  Over 5000 steps of dt = 1e-2 at lam = 1, A^L has decayed to about
+    # 3e-5, and that error is about 1e-12 of it (the per-step loop: 1e-14);
+    # a state moved by A^L is off by eps |z|, far below the gap's noise
+    power, cov, got_power, factor = _gap_map_and_loop(SystemParams.natural_units(1.0), 1e-2, 5000)
+    assert np.max(np.abs(power)) < 1e-4
+    assert np.max(np.abs(got_power - power)) <= 1e-15
+    assert _close(factor.T @ factor, cov, 1e-12)
+
+
+def test_stream_contract_four_normals_per_longer_gap():
+    # free particles from a Gaussian start over 2L + 1 steps at stride L: the
+    # start takes the substream's first four normals, each L-step gap the next
+    # four (times F_L, a square root of S_L) and the final one-step gap two.
+    # For a free particle q <- q + dt p, p <- p + sqrt(D dt) eta, so S_L is
+    # D dt [[dt^2 (L-1) L (2L-1) / 6, dt L (L-1) / 2], [dt L (L-1) / 2, L]]
+    from hybridosc import sde
+
+    diffusion, dt, length, seed, index = (4.0, 0.25), 1.0 / 64, 50, 13, 5
+    dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, diffusion[0], 1.0, 0.0, diffusion[1], 0.0))
+    cov0 = np.array([[1.0, 0.3, 0.0, 0.1], [0.3, 2.0, 0.2, 0.0], [0.0, 0.2, 0.5, 0.0], [0.1, 0.0, 0.0, 1.5]])
+    cfg = SimConfig(
+        dt=dt, t_final=(2 * length + 1) * dt, n_trajectories=8, seed=seed,
+        initial_mean=np.zeros(4), initial_cov=cov0, output_stride=length,
+    )
+    _, path = sample_trajectory(dn, cfg, index)
+
+    drift = -(dn.theta * dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2] * dt)
+    power, factor = sde._gap_map(drift, amp, length)
+    n = length
+    block = np.array([[dt**2 * (n - 1) * n * (2 * n - 1) / 6, dt * n * (n - 1) / 2],
+                      [dt * n * (n - 1) / 2, n]])
+    exact = np.zeros((4, 4))
+    for k, d in enumerate(diffusion):
+        exact[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = d * dt * block
+    assert _close(factor.T @ factor, exact, 1e-12)
+    assert _close(power, np.kron(np.eye(2), [[1.0, 0.0], [n * dt, 1.0]]), 1e-15)
+
+    zeta = np.random.Generator(np.random.Philox(key=seed).jumped(index)).standard_normal(14)
+    want = [zeta[:4] @ sde._gaussian_factor(cov0).T]
+    want.append(want[-1] @ power + zeta[4:8] @ factor)
+    want.append(want[-1] @ power + zeta[8:12] @ factor)
+    want.append(want[-1] @ (np.eye(4) + drift) + zeta[12:14] @ amp)
+    assert _close(path, np.array(want), 1e-14)
+
+
+def test_strided_ensemble_follows_discrete_em_covariance():
+    # a cold start at dt = 0.05, outputs every 50 steps: the ensemble follows
+    # the forward scheme's own covariance C <- A^T C A + amp^T amp (its dt
+    # bias kept), which at the end sits about 14 standard errors from the
+    # Lyapunov solution of the continuous process
+    params = SystemParams.natural_units(1.0)
+    dn = assemble_drift_noise(params)
+    dt, stride = 0.05, 50
+    cfg = SimConfig(
+        dt=dt, t_final=40.0, n_trajectories=4000, seed=17,
+        initial_state=np.array([1.0, 0.0, -0.5, 0.5]), output_stride=stride,
+    )
+    stats = simulate_ensemble(dn, cfg)
+    step_t = np.eye(4) - (dn.theta * dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2] * dt)
+    mean, cov = np.array(cfg.initial_state), np.zeros((4, 4))
+    means, covs = [mean], [cov]
+    for k in range(1, cfg.n_steps + 1):
+        mean, cov = mean @ step_t, step_t.T @ cov @ step_t + amp.T @ amp
+        if k % stride == 0:
+            means.append(mean)
+            covs.append(cov)
+    assert len(covs) == len(stats.times) == 17
+    for k in (1, -1):
+        assert np.max(np.abs(stats.mean[k] - means[k]) / (3.0 * stats.mean_stderr[k])) < 1.0
+        assert np.max(np.abs(stats.cov[k] - covs[k]) / (3.0 * stats.cov_stderr[k])) < 1.0
+    lyapunov = solve_lyapunov(dn)
+    assert np.max(np.abs(stats.cov[-1] - lyapunov) / stats.cov_stderr[-1]) > 10.0
 
 
 def test_energy_is_the_quadratic_form():
@@ -336,6 +478,23 @@ def test_overflow_detected():
     with pytest.warns(UserWarning, match="discretisation bias"):
         with pytest.raises(NumericalOverflow, match="near t = 2"):
             sample_trajectory(runaway, cfg, 0)
+
+
+def test_overflowing_gap_map_is_reported_at_its_output():
+    # undamped forward Euler at dt = 0.5 grows by sqrt(1 + dt^2) per step.  The
+    # 5000-step gap's noise covariance grows like the square of A^L and leaves
+    # the float range at the first output, t = 2500, while the states alone
+    # would not overflow before the second.  The report is NumericalOverflow,
+    # with no linear-algebra error and no RuntimeWarning on the way
+    runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
+    cfg = SimConfig(
+        dt=0.5, t_final=10000.0, n_trajectories=3, seed=7,
+        initial_state=np.zeros(4), output_stride=5000,
+    )
+    with pytest.warns(UserWarning, match="discretisation bias") as record:
+        with pytest.raises(NumericalOverflow, match="near t = 2500$"):
+            simulate_ensemble(runaway, cfg)
+    assert [w.category for w in record] == [UserWarning]
 
 
 def test_config_validation():
