@@ -21,15 +21,17 @@ ceiling but not its per-step samples.  S_L grows like the square of A^L: an
 unstable run is reported at the first output whose gap map overflows, which
 can be earlier than its states would.
 
-Reproducibility model: trajectory ``i`` consumes a dedicated counter-based
-substream, ``Philox(key=seed).jumped(i)``: four normals for a Gaussian
-start, then two per one-step gap, (eta1, eta2) for (p1, p2), and four per
-longer gap.  The rounding is fixed by the output steps and
-``CHUNK_TRAJECTORIES`` (the rows stepped together and the merge order);
-``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound memory only.  Each chunk returns
-its moments as arrays over all output steps, merged with Chan's pairwise
-update in fixed chunk order, so results are bitwise identical for any
-number of workers (one per usable CPU).
+Reproducibility model: chunk ``c`` of ``CHUNK_TRAJECTORIES`` trajectories
+(c * CHUNK_TRAJECTORIES onward) reads one counter-based stream,
+``Philox(key=seed).jumped(c)``, gap-major: an (n, 4) block of normals for a
+Gaussian start, then per gap in output order an (n, 2) block for a one-step
+gap, (eta1, eta2) for (p1, p2), or an (n, 4) block for a longer one; row j
+belongs to the chunk's trajectory j.  So the output steps and
+``CHUNK_TRAJECTORIES`` fix the samples and the rounding (the rows stepped
+together and the merge order); ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound
+memory only.  Each chunk returns its moments as arrays over all output
+steps, merged with Chan's pairwise update in fixed chunk order, so results
+are bitwise identical for any number of workers (one per usable CPU).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import NumericalOverflow, SingularSystem
 from .model import DriftNoise, SystemParams, energy_weight_matrix
 from .steadystate import _affine_power, validate_covariance
 
-# trajectories per chunk: the merge order, so part of the reproducibility contract
+# trajectories per chunk, each with one noise stream: part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
 # steps of an every-step run drawn at once (2 * BLOCK_STEPS normals per trajectory):
 # bounds memory only, results do not depend on it
@@ -155,9 +157,9 @@ class EnsembleStats:
             self.times, self.mean, self.cov[:, i, j], self.energy_mean,
             self.mean_stderr, self.cov_stderr[:, i, j], self.energy_stderr,
         ])
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # as f"{v:.17g}", in one format call
         stream.write(",".join(self.csv_header()) + "\n")
-        for row in table.tolist():
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        stream.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _energy(states: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -241,91 +243,88 @@ def _gap_map(drift: np.ndarray, amp: np.ndarray, length: int):
     return power, _gaussian_factor(cov).T if np.isfinite(cov).all() else np.full((4, 4), np.nan)
 
 
+def _gap_maps(dn: DriftNoise, cfg: SimConfig, output_steps: np.ndarray) -> dict:
+    """{L: :func:`_gap_map` of L} for each distinct gap length L between ``output_steps``."""
+    drift = -(dn.theta * cfg.dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(cfg.dt)  # the driven rows p1, p2 of sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {gap: _gap_map(drift, amp, gap) for gap in set(np.diff(output_steps).tolist())}
+
+
 def _noise_layout(cfg: SimConfig, output_steps: np.ndarray):
-    """Gap lengths, where each gap's normals end in a substream, and a buffer row's width."""
+    """Gap lengths, where each gap's normals end per trajectory, and a fill's width per trajectory."""
     gaps = np.diff(output_steps)
     ends = (4 if cfg.initial_mean is not None else 0) + np.cumsum(np.where(gaps == 1, 2, 4))
     # room for the start and one gap, never more than a trajectory uses
     return gaps, ends, int(min(max(2 * BLOCK_STEPS, 8), ends[-1]))
 
 
-def _draws(seed: int, indices: range, ends: np.ndarray, noise: np.ndarray):
-    """Fill ``noise[j]`` with normals lo .. hi - 1 of trajectory ``indices[j]``; yield (lo, hi).
+def _draws(seed: int, chunk: int, n: int, ends: np.ndarray, noise: np.ndarray):
+    """Fill ``noise`` with normals n * lo .. n * hi - 1 of chunk ``chunk``'s stream; yield (lo, hi).
 
-    Each fill holds whole gaps.  One bit generator serves the chunk, its
-    counter set as in ``Philox(key=seed).jumped(i)``; a state is saved only
-    when a later fill needs it.
+    The stream, ``Philox(key=seed).jumped(chunk)``, is gap-major: the block
+    of a gap whose normals end at ``end`` (per trajectory, see
+    :func:`_noise_layout`) with k of them is the (n, k) array at n * (end - k),
+    row j for the chunk's trajectory j.  A fill holds whole gaps, at most
+    ``len(noise) // n`` normals per trajectory, and is one call, which
+    releases the interpreter lock.
     """
-    bitgen = np.random.Philox(key=np.uint64(int(seed) % (1 << 64)))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter (0, 0, 0, 0) and an empty buffer
-    saved = [None] * len(indices)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) % (1 << 64))).jumped(chunk))
     lo = 0
     while lo < ends[-1]:
-        hi = int(ends[np.searchsorted(ends, lo + noise.shape[1], "right") - 1])
-        for j, i in enumerate(indices):
-            fresh["state"]["counter"][2] = i
-            bitgen.state = saved[j] or fresh  # a first fill starts the substream
-            rng.standard_normal(hi - lo, out=noise[j, : hi - lo])
-            if hi < ends[-1]:
-                saved[j] = bitgen.state
+        hi = int(ends[np.searchsorted(ends, lo + len(noise) // n, "right") - 1])
+        rng.standard_normal(n * (hi - lo), out=noise[: n * (hi - lo)])
         yield lo, hi
         lo = hi
 
 
-def _steps(dn: DriftNoise, cfg: SimConfig, indices: range, output_steps: np.ndarray, buf=None):
-    """Step ``indices`` together, one row each, noise in ``buf``; yield (k0, states) per group.
+def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict, buf=None):
+    """Step chunk ``indices`` together, one row each, noise in ``buf``; yield (k0, states) per group.
 
     ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS, and the next group
-    overwrites it.  Each gap is one move of :func:`_gap_map`."""
-    drift = -(dn.theta * cfg.dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(cfg.dt)  # the driven rows p1, p2 of sigma
+    overwrites it.  Each gap is one move of its map in ``maps`` (:func:`_gap_maps`); rows that
+    overflow are left to the caller's :func:`_finite`."""
     gaps, ends, width = _noise_layout(cfg, output_steps)
-    n_traj = len(indices)
-    noise = (np.empty((n_traj, width)) if buf is None else buf)[:n_traj]
-    draws = _draws(cfg.seed, indices, ends, noise)
+    n = len(indices)
+    noise = np.empty(n * width) if buf is None else buf[: n * width]
+    draws = _draws(cfg.seed, indices.start // CHUNK_TRAJECTORIES, n, ends, noise)
     lo, hi = next(draws)
 
     if cfg.initial_state is not None:
-        z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n_traj, 1))
+        z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n, 1))
     elif cfg.initial_mean is not None:
         factor = _gaussian_factor(cfg.initial_cov)
-        z = np.asarray(cfg.initial_mean, dtype=float).reshape(1, 4) + noise[:, :4] @ factor.T
+        z = np.asarray(cfg.initial_mean, dtype=float) + noise[: 4 * n].reshape(n, 4) @ factor.T
     else:
-        z = np.zeros((n_traj, 4))
+        z = np.zeros((n, 4))
 
-    times = output_steps * cfg.dt
-    group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), n_traj, 4))
+    group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), n, 4))
     group[0] = z
     k0, g = 0, 1  # group[:g] holds outputs k0 .. k0 + g - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = {length: _gap_map(drift, amp, length) for length in set(gaps.tolist())}
-        for length, end in zip(gaps.tolist(), ends):
+        for length, end in zip(gaps.tolist(), ends.tolist()):
             if end > hi:
                 lo, hi = next(draws)
             power, factor = maps[length]
-            z = z @ power + noise[:, end - lo - len(factor) : end - lo] @ factor
+            z = z @ power + noise[n * (end - lo - len(factor)) : n * (end - lo)].reshape(n, -1) @ factor
             if g == len(group):
-                yield k0, _finite(group, indices, times[k0:])
+                yield k0, group
                 k0, g = k0 + g, 0
             group[g] = z
             g += 1
-        yield k0, _finite(group[:g], indices, times[k0:])
+        yield k0, group[:g]
 
 
 def _run_chunk(
-    dn: DriftNoise,
-    cfg: SimConfig,
-    indices: range,
-    output_steps: np.ndarray,
-    weight: np.ndarray,
-    buf: np.ndarray,
+    cfg: SimConfig, output_steps: np.ndarray, maps: dict, weight: np.ndarray, indices: range, buf
 ):
     """One block of trajectories' (count, mean, m2, e_mean, e_m2) at every output step."""
     n_out = len(output_steps)
+    times = output_steps * cfg.dt
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
     e_mean, e_m2 = np.empty(n_out), np.empty(n_out)
-    for k0, states in _steps(dn, cfg, indices, output_steps, buf):
+    for k0, states in _steps(cfg, indices, output_steps, maps, buf):
+        _finite(states, indices, times[k0:])
         out = slice(k0, k0 + len(states))
         mean[out] = states.mean(axis=1)
         centred = states - mean[out, None]
@@ -381,56 +380,51 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
     ]
+    maps = _gap_maps(dn, cfg, output_steps)
     n_workers = min(_usable_cpus(), len(chunks))
     # chunk i starts after chunk i - n_workers has finished (_in_chunk_order), so the two
     # share a noise buffer; blocks freed per chunk can stay resident in the allocator
     width = _noise_layout(cfg, output_steps)[2]
-    buffers = [np.empty((len(chunks[0]), width)) for _ in range(n_workers)]
+    buffers = [np.empty(len(chunks[0]) * width) for _ in range(n_workers)]
     jobs = [(idx, buffers[i % n_workers]) for i, idx in enumerate(chunks)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        results = _in_chunk_order(
-            pool, lambda job: _run_chunk(dn, cfg, job[0], output_steps, weight, job[1]),
-            jobs, n_workers,
-        )
+        run = functools.partial(_run_chunk, cfg, output_steps, maps, weight)
+        results = _in_chunk_order(pool, lambda job: run(*job), jobs, n_workers)
         n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, results)
 
     # a one-trajectory ensemble has m2 == 0 exactly: 0/0 leaves NaN spreads
     with np.errstate(divide="ignore", invalid="ignore"):
         cov = m2 / (n - 1)
         diag = np.einsum("kii->ki", cov)
-        cov_stderr = np.sqrt(
-            (diag[:, :, None] * diag[:, None, :] + cov**2) / (n - 1)
-        )
+        cov_stderr = np.sqrt((diag[:, :, None] * diag[:, None, :] + cov**2) / (n - 1))
         mean_stderr = np.sqrt(np.clip(diag, 0.0, None) / n)
         energy_stderr = np.sqrt(np.clip(e_m2 / (n - 1), 0.0, None) / n)
 
     return EnsembleStats(
-        times=output_steps * cfg.dt,
-        mean=mean,
-        mean_stderr=mean_stderr,
-        cov=cov,
-        cov_stderr=cov_stderr,
-        energy_mean=e_mean,
-        energy_stderr=energy_stderr,
-        n_trajectories=n,
+        times=output_steps * cfg.dt, mean=mean, mean_stderr=mean_stderr, cov=cov,
+        cov_stderr=cov_stderr, energy_mean=e_mean, energy_stderr=energy_stderr, n_trajectories=n,
     )
 
 
 def sample_trajectory(dn: DriftNoise, cfg: SimConfig, index: int):
     """Integrate the single trajectory ``index`` of the ensemble.
 
-    Returns (times, states) sampled at the output stride.  The path uses the
-    ensemble's noise substream and kernel, one move per gap between outputs,
-    so its cost grows with the number of outputs, not with the steps.  It is
-    bitwise identical to ensemble member ``index`` when that member's chunk
-    holds one trajectory; otherwise the chunk steps an n-row matrix, whose
-    products round differently from one row, and the two agree to a few ulp.
+    Returns (times, states) sampled at the output stride.  The chunk that
+    holds ``index`` is stepped as in :func:`simulate_ensemble`, one move per
+    gap between outputs, and its row is returned, so the path is bitwise
+    identical to ensemble member ``index`` for any chunk size.  The cost is
+    O(min(n_trajectories, CHUNK_TRAJECTORIES) x outputs), not O(steps); an
+    overflow is reported only when this row overflows.
     """
     _check_step_size(dn, cfg)
     if not 0 <= index < cfg.n_trajectories:
         raise ValueError(f"index {index} outside [0, {cfg.n_trajectories})")
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
+    times = output_steps * cfg.dt
+    lo = index - index % CHUNK_TRAJECTORIES
+    chunk, row = range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories)), index - lo
     states = np.empty((len(output_steps), 4))
-    for k0, group in _steps(dn, cfg, range(index, index + 1), output_steps):
-        states[k0 : k0 + len(group)] = group[:, 0]
-    return output_steps * cfg.dt, states
+    for k0, group in _steps(cfg, chunk, output_steps, _gap_maps(dn, cfg, output_steps)):
+        path = group[:, row : row + 1]
+        states[k0 : k0 + len(group)] = _finite(path, chunk[row : row + 1], times[k0:])[:, 0]
+    return times, states

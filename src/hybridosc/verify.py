@@ -10,7 +10,7 @@ import numpy as np
 
 from . import cq as cq_mod
 from . import sde, spectral, stability, steadystate
-from .model import SystemParams, assemble_drift_noise
+from .model import DriftNoise, SystemParams, assemble_drift_noise
 
 
 class Check(NamedTuple):
@@ -28,6 +28,23 @@ def _unit_cq(diffusion: float = 1.0, coupling: float = 0.05) -> cq_mod.CQParams:
         classical_mass=1.0, classical_spring=1.0, damping=1.0, diffusion=diffusion,
         quantum_mass=1.0, quantum_spring=1.0, coupling=coupling,
     )
+
+
+def monte_carlo_rows(dn: DriftNoise, solved: np.ndarray, seed: int, n_trajectories: int):
+    """Run an ensemble from the Lyapunov covariance ``solved``; return its config and two rows'
+    (name, value, bound): the final covariance's worst deviation from ``solved`` in 3-SE bands,
+    and the energy drift against 3 SE."""
+    cfg = sde.SimConfig(
+        dt=1e-3, t_final=5.0, n_trajectories=n_trajectories, seed=seed,
+        initial_mean=np.zeros(4), initial_cov=solved,
+    )
+    stats = sde.simulate_ensemble(dn, cfg)
+    cov, se, osc1 = stats.cov[-1], stats.cov_stderr[-1], dn.params.osc1
+    return cfg, [
+        ("monte_carlo_vs_lyapunov_sigmas", np.max(np.abs(cov - solved) / (3.0 * se)), 1.0),
+        ("energy_drift_zero", abs(sde.energy_drift(dn.params, cov)),
+         3.0 * (osc1.damping / osc1.mass**2) * se[1, 1]),
+    ]
 
 
 def run_checks(
@@ -132,21 +149,9 @@ def run_checks(
     add("mutual_information_zero", abs(info), 1e-12)
 
     # Monte Carlo against the Lyapunov covariance, stationary start
-    cfg = sde.SimConfig(
-        dt=1e-3,
-        t_final=5.0,
-        n_trajectories=mc_trajectories,
-        seed=seed,
-        initial_mean=np.zeros(4),
-        initial_cov=solved,
-    )
-    stats = sde.simulate_ensemble(dn, cfg)
-    dev = np.abs(stats.cov[-1] - solved)
-    bands = 3.0 * stats.cov_stderr[-1]
-    add("monte_carlo_vs_lyapunov_sigmas", float(np.max(dev / bands)), 1.0)
-    drift = sde.energy_drift(params, stats.cov[-1])
-    drift_band = 3.0 * (params.osc1.damping / params.osc1.mass**2) * stats.cov_stderr[-1][1, 1]
-    add("energy_drift_zero", abs(drift), drift_band)
+    cfg, rows = monte_carlo_rows(dn, solved, seed, mc_trajectories)
+    for row in rows:
+        add(*row)
     _, path_a = sde.sample_trajectory(dn, cfg, 0)
     _, path_b = sde.sample_trajectory(dn, cfg, 0)
     add("trajectory_determinism", float(np.max(np.abs(path_a - path_b))), 0.0)

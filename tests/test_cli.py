@@ -201,13 +201,47 @@ def test_verify_passes(tmp_path):
             "monte_carlo_vs_lyapunov_sigmas", "thermal_deviation_high_diffusion"} <= names
 
 
+_VERIFY_ROWS = (
+    "stability_certificate_agreement", "charpoly_vs_eigenvalues", "closed_form_vs_lyapunov",
+    "moment_flow_vs_lyapunov", "greens_vs_numeric_inverse", "pole_reflection_structure",
+    "residue_equal_time_vs_lyapunov", "perturbative_cubic_scaling", "small_lambda_g22",
+    "sigma_ratio_vs_residue", "mutual_information_zero", "monte_carlo_vs_lyapunov_sigmas",
+    "energy_drift_zero", "trajectory_determinism", "occupation_minimum", "occupation_floor",
+    "hybrid_equal_time_vs_lyapunov", "hybrid_correlators_finite_at_zero_coupling",
+    "thermal_deviation_monotone", "thermal_deviation_high_diffusion",
+)
+_MONTE_CARLO_ROWS = {"monte_carlo_vs_lyapunov_sigmas", "energy_drift_zero"}
+
+
 def test_verify_passes_at_tiny_coupling(tmp_path):
-    # the moment-flow row relaxes over ~1e8 RK4 steps here, which the flow composes by squaring
+    # the moment-flow row relaxes over ~1e8 RK4 steps here, which the flow composes by
+    # squaring.  The two Monte Carlo rows screen one draw at 3 SE, so at any one seed
+    # they may fail by chance; their rate is pinned by the calibration test below
     out = tmp_path / "verify.json"
     code = run_cli(["-o", str(out), "verify", "--lambda", "1e-3", "--mc-trajectories", "200"])
-    assert code == EXIT_OK
-    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    payload = json.loads(out.read_text())
+    rows = {c["name"]: c for c in payload["checks"]}
+    assert tuple(rows) == _VERIFY_ROWS
     assert rows["moment_flow_vs_lyapunov"]["passed"] is True
+    assert all(rows[name]["passed"] for name in rows.keys() - _MONTE_CARLO_ROWS)
+    assert payload["passed"] == all(row["passed"] for row in rows.values())
+    assert code == (EXIT_OK if payload["passed"] else EXIT_VERIFY)
+
+
+def test_verify_monte_carlo_rows_fail_at_the_screen_rate():
+    # the Monte Carlo rows of `verify --lambda 1e-3 --mc-trajectories 200` over
+    # seeds 0-39: a correct sampler fails either row on about 3% of seeds, so
+    # 6 or more failures have probability about 0.2% (binomial(40, 0.03)),
+    # while a sampler with the wrong law fails most seeds
+    from hybridosc import assemble_drift_noise, solve_lyapunov
+
+    dn = assemble_drift_noise(SystemParams.natural_units(1e-3))
+    solved = solve_lyapunov(dn)
+    failed = 0
+    for seed in range(40):
+        _, rows = verify.monte_carlo_rows(dn, solved, seed, 200)
+        failed += any(value > bound for _, value, bound in rows)
+    assert failed <= 5
 
 
 def test_verify_failure_exit_code(tmp_path):

@@ -17,67 +17,56 @@ from conftest import make_params
 
 
 def test_noise_stream_partition_invariance():
-    # block-wise noise generation into rows of a preallocated buffer, as the
-    # kernel draws it, must reproduce one draw of the whole stream; the
-    # integrator's reproducibility contract rests on this property
+    # the kernel's fills, one call each into a flat buffer, must concatenate to
+    # one draw of the chunk's stream whatever the fill width; the integrator's
+    # reproducibility contract rests on this property.  A start and gaps of 4,
+    # 4, 2, 4 and 2 normals per trajectory, for a chunk of 3 trajectories:
+    # each fill holds whole gaps
     from hybridosc import sde
 
-    r1 = np.random.Generator(np.random.Philox(key=42).jumped(3))
-    a = r1.standard_normal((10, 2))
-    r2 = np.random.Generator(np.random.Philox(key=42).jumped(3))
-    buf = np.empty((2, 10, 2))
-    r2.standard_normal((4, 2), out=buf[1, :4])
-    r2.standard_normal((6, 2), out=buf[1, 4:])
-    assert np.array_equal(a, buf[1])
-
-    # one bit generator whose counter is reset to (0, 0, 3, 0) reads the same
-    # stream, and saving its state mid-stream (an odd count, so inside a
-    # Philox block) and restoring it after other draws continues it
-    bitgen = np.random.Philox(key=42)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    state["state"]["counter"][2] = 3
-    bitgen.state = state
-    head = rng.standard_normal(7)
-    saved = bitgen.state
-    state["state"]["counter"][2] = 4
-    bitgen.state = state
-    rng.standard_normal(5)
-    bitgen.state = saved
-    assert np.array_equal(np.concatenate([head, rng.standard_normal(13)]), a.ravel())
-
-    # the kernel's fills: a start and gaps of 4, 4, 2, 4 and 2 normals in rows
-    # of 10 take three fills, each of whole gaps, for trajectories 3 .. 6
-    indices, ends = range(3, 7), np.array([4, 8, 12, 14, 18, 20])
-    noise = np.empty((4, 10))
-    got = [[] for _ in indices]
-    fills = []
-    for lo, hi in sde._draws(42, indices, ends, noise):
-        fills.append((lo, hi))
-        for row, normals in zip(got, noise[:, : hi - lo]):
-            row.append(normals.copy())
-    assert fills == [(0, 8), (8, 18), (18, 20)]
-    for i, row in zip(indices, got):
-        want = np.random.Generator(np.random.Philox(key=42).jumped(i)).standard_normal(20)
-        assert np.array_equal(np.concatenate(row), want)
+    n, chunk, ends = 3, 2, np.array([4, 8, 12, 14, 18, 20])
+    want = np.random.Generator(np.random.Philox(key=42).jumped(chunk)).standard_normal(n * 20)
+    for width, want_fills in (
+        (4, [(0, 4), (4, 8), (8, 12), (12, 14), (14, 18), (18, 20)]),
+        (8, [(0, 8), (8, 14), (14, 20)]),
+        (10, [(0, 8), (8, 18), (18, 20)]),
+        (20, [(0, 20)]),
+    ):
+        noise = np.empty(n * width)
+        got, fills = [], []
+        for lo, hi in sde._draws(42, chunk, n, ends, noise):
+            fills.append((lo, hi))
+            got.append(noise[: n * (hi - lo)].copy())
+        assert fills == want_fills
+        assert np.array_equal(np.concatenate(got), want)
 
 
-def test_stream_contract_two_normals_per_step():
-    # free particles from rest: p1 and p2 are the running sums of the
-    # substream's normals, column 0 for p1 and column 1 for p2.  sqrt(D dt) is
-    # a power of two, so scaling the running sum equals summing the scaled
-    # steps bitwise
+def _chunk_stream(seed, chunk=0):
+    return np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
+
+
+def test_stream_contract_two_normals_per_step(monkeypatch):
+    # free particles from rest: p1 and p2 are the running sums of the chunk
+    # stream's normals, one (n, 2) block per step, row j for the chunk's
+    # trajectory j, column 0 for p1 and column 1 for p2.  In chunks of 1024
+    # trajectory 5 is row 5 of chunk 0; in chunks of 3 it is row 2 of chunk 1,
+    # whose blocks have 3 rows.  sqrt(D dt) is a power of two, so scaling the
+    # running sum equals summing the scaled steps bitwise
+    from hybridosc import sde
+
     d1, d2, dt, n_steps, seed, index = 4.0, 0.25, 1.0 / 64, 50, 13, 5
     dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, d1, 1.0, 0.0, d2, 0.0))
     cfg = SimConfig(
         dt=dt, t_final=n_steps * dt, n_trajectories=8, seed=seed,
         initial_state=np.zeros(4), output_stride=1,
     )
-    _, path = sample_trajectory(dn, cfg, index)
-    eta = np.random.Generator(np.random.Philox(key=seed).jumped(index)).standard_normal((n_steps, 2))
-    assert np.array_equal(path[1:, 1], np.sqrt(d1 * dt) * np.cumsum(eta[:, 0]))
-    assert np.array_equal(path[1:, 3], np.sqrt(d2 * dt) * np.cumsum(eta[:, 1]))
-    assert np.all(path[0] == 0.0)
+    for chunk_size, chunk, rows, row in ((1024, 0, 8, 5), (3, 1, 3, 2)):
+        monkeypatch.setattr(sde, "CHUNK_TRAJECTORIES", chunk_size)
+        _, path = sample_trajectory(dn, cfg, index)
+        eta = _chunk_stream(seed, chunk).standard_normal((n_steps, rows, 2))[:, row]
+        assert np.array_equal(path[1:, 1], np.sqrt(d1 * dt) * np.cumsum(eta[:, 0]))
+        assert np.array_equal(path[1:, 3], np.sqrt(d2 * dt) * np.cumsum(eta[:, 1]))
+        assert np.all(path[0] == 0.0)
 
 
 def test_same_seed_same_statistics():
@@ -142,10 +131,10 @@ def test_group_size_does_not_change_results(monkeypatch):
 
 def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
     # the runaway of test_overflow_detected from scattered starts: the paths
-    # leave the float range about 2390 outputs in, far past the first group.
-    # At this seed trajectory 5 goes first and the lower ones follow within a
-    # few outputs, so the report must take the first bad output, then its
-    # first bad trajectory
+    # leave the float range about 2390 outputs in, far past the first group,
+    # and the trajectories go within a few outputs of each other, so the
+    # report must take the first bad output, then its first bad trajectory,
+    # as the per-step loop on the same stream finds them
     from hybridosc import sde
 
     runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
@@ -153,6 +142,10 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
         dt=0.9, t_final=3000.0, n_trajectories=6, seed=7,
         initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1.0, 1e-6, 1.0]), output_stride=1,
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(_per_step_em(runaway, cfg, range(6))).all(axis=-1)
+    step, row = np.argwhere(bad)[0]
+    assert step > 2000
     messages = []
     for group in (1, 3, 16):
         monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
@@ -161,22 +154,28 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
                 simulate_ensemble(runaway, cfg)
         messages.append(str(caught.value))
     assert messages[0] == messages[1] == messages[2]
-    assert messages[0].startswith("trajectory 5 overflowed near t = 2")
+    assert messages[0] == f"trajectory {row} overflowed near t = {step * cfg.dt:.6g}"
 
 
 def _per_step_em(dn, cfg, indices):
     # the scheme one step at a time: z <- z (I - theta dt)^T + sqrt(dt) sigma eta
-    # on the driven rows, with each trajectory's normals read from its substream
-    z = np.tile(np.asarray(cfg.initial_state, dtype=float), (len(indices), 1))
+    # on the driven rows, with the chunk's normals read from its stream: an
+    # (n, 4) block for a Gaussian start, then an (n, 2) block per step
+    from hybridosc import sde
+
+    assert indices.start % sde.CHUNK_TRAJECTORIES == 0 and len(indices) <= sde.CHUNK_TRAJECTORIES
+    n = len(indices)
+    rng = _chunk_stream(cfg.seed, indices.start // sde.CHUNK_TRAJECTORIES)
+    if cfg.initial_mean is not None:
+        z = cfg.initial_mean + rng.standard_normal((n, 4)) @ sde._gaussian_factor(cfg.initial_cov).T
+    else:
+        z = np.tile(np.asarray(cfg.initial_state, dtype=float), (n, 1))
     step_t = np.eye(4) - (dn.theta * cfg.dt).T
     amp = np.sqrt(dn.diffusion_matrix[1::2] * cfg.dt)
-    eta = np.stack([
-        np.random.Generator(np.random.Philox(key=cfg.seed).jumped(i)).standard_normal((cfg.n_steps, 2))
-        for i in indices
-    ])
+    eta = rng.standard_normal((cfg.n_steps, n, 2))
     path = [z]
     for k in range(cfg.n_steps):
-        z = z @ step_t + eta[:, k] @ amp
+        z = z @ step_t + eta[k] @ amp
         path.append(z)
     return np.array(path)
 
@@ -189,9 +188,9 @@ def _close(got, want, rtol):
 def test_composed_pieces_match_per_step_loop(monkeypatch, stride):
     # every gap between outputs is one step, so the kernel takes the plain
     # forward step and must follow the per-step loop sample by sample; 700
-    # steps in 100-step noise blocks take seven fills, so each trajectory's
-    # substream is saved and restored between them.  Longer gaps are exact in
-    # law only (test_gap_map_matches_per_step_recursion and the tests after it)
+    # steps in 100-step noise blocks take seven fills of the chunk's stream.
+    # Longer gaps are exact in law only (test_gap_map_matches_per_step_recursion
+    # and the tests after it)
     from hybridosc import sde
 
     monkeypatch.setattr(sde, "BLOCK_STEPS", 100)
@@ -256,8 +255,9 @@ def test_gap_map_rounding_is_absolute_on_long_decays():
 
 def test_stream_contract_four_normals_per_longer_gap():
     # free particles from a Gaussian start over 2L + 1 steps at stride L: the
-    # start takes the substream's first four normals, each L-step gap the next
-    # four (times F_L, a square root of S_L) and the final one-step gap two.
+    # start takes the chunk stream's first (n, 4) block, each L-step gap the
+    # next (times F_L, a square root of S_L) and the final one-step gap an
+    # (n, 2) block, trajectory j reading row j of each.
     # For a free particle q <- q + dt p, p <- p + sqrt(D dt) eta, so S_L is
     # D dt [[dt^2 (L-1) L (2L-1) / 6, dt L (L-1) / 2], [dt L (L-1) / 2, L]]
     from hybridosc import sde
@@ -283,11 +283,12 @@ def test_stream_contract_four_normals_per_longer_gap():
     assert _close(factor.T @ factor, exact, 1e-12)
     assert _close(power, np.kron(np.eye(2), [[1.0, 0.0], [n * dt, 1.0]]), 1e-15)
 
-    zeta = np.random.Generator(np.random.Philox(key=seed).jumped(index)).standard_normal(14)
-    want = [zeta[:4] @ sde._gaussian_factor(cov0).T]
-    want.append(want[-1] @ power + zeta[4:8] @ factor)
-    want.append(want[-1] @ power + zeta[8:12] @ factor)
-    want.append(want[-1] @ (np.eye(4) + drift) + zeta[12:14] @ amp)
+    rng = _chunk_stream(seed)
+    zeta = [rng.standard_normal((8, k))[index] for k in (4, 4, 4, 2)]
+    want = [zeta[0] @ sde._gaussian_factor(cov0).T]
+    want.append(want[-1] @ power + zeta[1] @ factor)
+    want.append(want[-1] @ power + zeta[2] @ factor)
+    want.append(want[-1] @ (np.eye(4) + drift) + zeta[3] @ amp)
     assert _close(path, np.array(want), 1e-14)
 
 
@@ -352,15 +353,20 @@ def test_merged_chunks_equal_pooled_moments():
     )
     stats = simulate_ensemble(dn, cfg)
     output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
-    for k0, group in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
-        for k, z in enumerate(group, k0):
-            energies = total_energy(params, z)
-            np.testing.assert_allclose(stats.mean[k], z.mean(axis=0), rtol=1e-12)
-            np.testing.assert_allclose(stats.cov[k], np.cov(z, rowvar=False), rtol=1e-12)
-            np.testing.assert_allclose(stats.energy_mean[k], energies.mean(), rtol=1e-12)
-            np.testing.assert_allclose(
-                stats.energy_stderr[k], energies.std(ddof=1) / np.sqrt(len(z)), rtol=1e-12
-            )
+    maps = sde._gap_maps(dn, cfg, output_steps)
+    pooled = np.empty((len(output_steps), cfg.n_trajectories, 4))
+    for lo in range(0, cfg.n_trajectories, sde.CHUNK_TRAJECTORIES):
+        chunk = range(lo, min(lo + sde.CHUNK_TRAJECTORIES, cfg.n_trajectories))
+        for k0, group in sde._steps(cfg, chunk, output_steps, maps):
+            pooled[k0 : k0 + len(group), chunk.start : chunk.stop] = group
+    for k, z in enumerate(pooled):
+        energies = total_energy(params, z)
+        np.testing.assert_allclose(stats.mean[k], z.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(stats.cov[k], np.cov(z, rowvar=False), rtol=1e-12)
+        np.testing.assert_allclose(stats.energy_mean[k], energies.mean(), rtol=1e-12)
+        np.testing.assert_allclose(
+            stats.energy_stderr[k], energies.std(ddof=1) / np.sqrt(len(z)), rtol=1e-12
+        )
 
 
 def test_one_trajectory_ensemble_has_nan_spreads():
@@ -573,11 +579,39 @@ def test_csv_output_shape(tmp_path):
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
 
 
-def test_sample_trajectory_matches_member_of_multi_trajectory_chunk():
-    # a chunk steps an n-row matrix, which rounds differently from one row;
-    # the single path must still track its row of the shared kernel closely
+def test_csv_values_are_written_as_17_significant_digits():
+    # the rows are formatted in one call; every value must read as the
+    # per-value f"{v:.17g}" in header order, special values included
+    import io
+
     from hybridosc import sde
 
+    values = np.resize([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-310, 1.0 / 3, -2.5e300, 7.0], 93)
+    values[::7] = np.random.default_rng(1).standard_normal(len(values[::7]))
+    n = 3
+    stats = sde.EnsembleStats(
+        times=values[:n], mean=values[n : 5 * n].reshape(n, 4),
+        mean_stderr=values[5 * n : 9 * n].reshape(n, 4),
+        cov=np.resize(values[::-1], (n, 4, 4)), cov_stderr=np.resize(values[1:], (n, 4, 4)),
+        energy_mean=values[-n:], energy_stderr=values[-2 * n : -n], n_trajectories=5,
+    )
+    moments = [(i, j) for _, i, j in stats._CSV_MOMENTS]
+    columns = [stats.times, *stats.mean.T, *(stats.cov[:, i, j] for i, j in moments), stats.energy_mean,
+               *stats.mean_stderr.T, *(stats.cov_stderr[:, i, j] for i, j in moments), stats.energy_stderr]
+    rows = np.column_stack(columns).tolist()
+    want = ",".join(stats.csv_header()) + "\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
+    buf = io.StringIO()
+    stats.write_csv(buf)
+    assert buf.getvalue() == want
+    assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= set(want.replace("\n", ",").split(","))
+
+
+def test_sample_trajectory_matches_member_of_multi_trajectory_chunk(monkeypatch):
+    # the single path steps its whole chunk, so it is its row of the shared
+    # kernel bit for bit; chunks of 128 put index 211 in the second of three
+    from hybridosc import sde
+
+    monkeypatch.setattr(sde, "CHUNK_TRAJECTORIES", 128)
     params = SystemParams.natural_units(0.05)
     dn = assemble_drift_noise(params)
     cfg = SimConfig(
@@ -587,10 +621,10 @@ def test_sample_trajectory_matches_member_of_multi_trajectory_chunk():
     output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
     index = 211
     member = np.empty((len(output_steps), 4))
-    for k0, group in sde._steps(dn, cfg, range(cfg.n_trajectories), output_steps):
-        member[k0 : k0 + len(group)] = group[:, index]
+    for k0, group in sde._steps(cfg, range(128, 256), output_steps, sde._gap_maps(dn, cfg, output_steps)):
+        member[k0 : k0 + len(group)] = group[:, index - 128]
     _, path = sample_trajectory(dn, cfg, index)
-    assert np.max(np.abs(path - member)) <= 1e-12 * np.max(np.abs(member))
+    assert np.array_equal(path, member)
 
 
 def test_chunks_merge_in_order_with_bounded_window():
