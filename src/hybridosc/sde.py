@@ -21,6 +21,12 @@ ceiling but not its per-step samples.  S_L grows like the square of A^L: an
 unstable run is reported at the first output whose gap map overflows, which
 can be earlier than its states would.
 
+The gaps are stepped in batches: consecutive gaps of one length whose noise
+sits in one fill of the noise buffer get their terms zeta F_L from one
+product, written straight into the output slots they fill, and each slot then
+adds the previous state times A^L in place.  Addition commutes, so the states
+are those of the gap-by-gap move bit for bit, wherever a batch ends.
+
 Reproducibility model: chunk ``c`` of ``CHUNK_TRAJECTORIES`` trajectories
 (c * CHUNK_TRAJECTORIES onward) reads one counter-based stream,
 ``Philox(key=seed).jumped(c)``, gap-major: an (n, 4) block of normals for a
@@ -163,7 +169,7 @@ class EnsembleStats:
 
 
 def _energy(states: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("...i,...i->...", states @ weight, states)
+    return 0.5 * (((states @ weight) * states) @ np.ones(4))
 
 
 def total_energy(params: SystemParams, states: np.ndarray) -> np.ndarray:
@@ -220,9 +226,8 @@ def _output_steps(n_steps: int, stride: int) -> np.ndarray:
 
 def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray:
     """``states`` (g, n, 4) at output ``times``; name the earliest output's first bad trajectory."""
-    finite = np.isfinite(states).all(axis=-1)
-    if not finite.all():
-        out, row = np.argwhere(~finite)[0]
+    if not np.isfinite(states).all():
+        out, row = np.argwhere(~np.isfinite(states).all(axis=-1))[0]
         raise NumericalOverflow(f"trajectory {indices[row]} overflowed near t = {times[out]:.6g}")
     return states
 
@@ -282,13 +287,18 @@ def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict,
     """Step chunk ``indices`` together, one row each, noise in ``buf``; yield (k0, states) per group.
 
     ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS, and the next group
-    overwrites it.  Each gap is one move of its map in ``maps`` (:func:`_gap_maps`); rows that
-    overflow are left to the caller's :func:`_finite`."""
+    overwrites it.  Each gap is one move of its map in ``maps`` (:func:`_gap_maps`), taken in
+    batches: a run of m consecutive gaps of one length whose noise lies in the current fill and
+    that fit in the group's free slots gets its noise terms from one product into those slots,
+    then each slot adds the previous state times A^L in turn.  Addition commutes, so every state
+    is z A^L + zeta F_L bit for bit, and ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound memory
+    only.  Rows that overflow are left to the caller's :func:`_finite`."""
     gaps, ends, width = _noise_layout(cfg, output_steps)
     n = len(indices)
     noise = np.empty(n * width) if buf is None else buf[: n * width]
     draws = _draws(cfg.seed, indices.start // CHUNK_TRAJECTORIES, n, ends, noise)
     lo, hi = next(draws)
+    gaps, ends = gaps.tolist(), ends.tolist()
 
     if cfg.initial_state is not None:
         z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n, 1))
@@ -300,18 +310,27 @@ def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict,
 
     group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), n, 4))
     group[0] = z
-    k0, g = 0, 1  # group[:g] holds outputs k0 .. k0 + g - 1
+    k0, g, i = 0, 1, 0  # group[:g] holds outputs k0 .. k0 + g - 1; gap i comes next
     with np.errstate(over="ignore", invalid="ignore"):
-        for length, end in zip(gaps.tolist(), ends.tolist()):
-            if end > hi:
+        while i < len(gaps):
+            if ends[i] > hi:
                 lo, hi = next(draws)
-            power, factor = maps[length]
-            z = z @ power + noise[n * (end - lo - len(factor)) : n * (end - lo)].reshape(n, -1) @ factor
             if g == len(group):
                 yield k0, group
+                z = z.copy()  # its slot takes the next batch
                 k0, g = k0 + g, 0
-            group[g] = z
-            g += 1
+            length = gaps[i]
+            m = 1
+            while g + m < len(group) and i + m < len(gaps) and gaps[i + m] == length and ends[i + m] <= hi:
+                m += 1
+            power, factor = maps[length]
+            start = n * (ends[i] - lo - len(factor))
+            block = noise[start : start + m * n * len(factor)].reshape(m, n, -1)
+            np.matmul(block, factor, out=group[g : g + m])
+            for slot in group[g : g + m]:
+                slot += z @ power
+                z = slot
+            g, i = g + m, i + m
         yield k0, group[:g]
 
 
@@ -323,13 +342,15 @@ def _run_chunk(
     times = output_steps * cfg.dt
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
     e_mean, e_m2 = np.empty(n_out), np.empty(n_out)
+    ones = np.ones(len(indices))
     for k0, states in _steps(cfg, indices, output_steps, maps, buf):
         _finite(states, indices, times[k0:])
         out = slice(k0, k0 + len(states))
-        mean[out] = states.mean(axis=1)
+        mean[out] = (ones @ states) / len(indices)
         centred = states - mean[out, None]
         m2[out] = centred.transpose(0, 2, 1) @ centred
         energies = _energy(states, weight)
+        # not ones @ energies: one (g, n) gemv rounds differently for different group sizes
         e_mean[out] = energies.mean(axis=1)
         e_m2[out] = ((energies - e_mean[out, None]) ** 2).sum(axis=1)
     return len(indices), mean, m2, e_mean, e_m2

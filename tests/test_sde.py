@@ -143,7 +143,7 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
         initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1.0, 1e-6, 1.0]), output_stride=1,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(_per_step_em(runaway, cfg, range(6))).all(axis=-1)
+        bad = ~np.isfinite(_per_gap_em(runaway, cfg, range(6))).all(axis=-1)
     step, row = np.argwhere(bad)[0]
     assert step > 2000
     messages = []
@@ -157,10 +157,11 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
     assert messages[0] == f"trajectory {row} overflowed near t = {step * cfg.dt:.6g}"
 
 
-def _per_step_em(dn, cfg, indices):
-    # the scheme one step at a time: z <- z (I - theta dt)^T + sqrt(dt) sigma eta
-    # on the driven rows, with the chunk's normals read from its stream: an
-    # (n, 4) block for a Gaussian start, then an (n, 2) block per step
+def _per_gap_em(dn, cfg, indices):
+    # the scheme one gap between outputs at a time, z <- z A^L + zeta F_L with the
+    # maps of sde._gap_maps, on the chunk's stream: an (n, 4) block for a Gaussian
+    # start, then an (n, k) block per gap.  At stride 1 every gap is the forward
+    # step z <- z (I - theta dt)^T + sqrt(dt) sigma eta on the driven rows
     from hybridosc import sde
 
     assert indices.start % sde.CHUNK_TRAJECTORIES == 0 and len(indices) <= sde.CHUNK_TRAJECTORIES
@@ -170,12 +171,12 @@ def _per_step_em(dn, cfg, indices):
         z = cfg.initial_mean + rng.standard_normal((n, 4)) @ sde._gaussian_factor(cfg.initial_cov).T
     else:
         z = np.tile(np.asarray(cfg.initial_state, dtype=float), (n, 1))
-    step_t = np.eye(4) - (dn.theta * cfg.dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2] * cfg.dt)
-    eta = rng.standard_normal((cfg.n_steps, n, 2))
+    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    maps = sde._gap_maps(dn, cfg, output_steps)
     path = [z]
-    for k in range(cfg.n_steps):
-        z = z @ step_t + eta[k] @ amp
+    for length in np.diff(output_steps).tolist():
+        power, factor = maps[length]
+        z = z @ power + rng.standard_normal((n, len(factor))) @ factor
         path.append(z)
     return np.array(path)
 
@@ -184,31 +185,61 @@ def _close(got, want, rtol):
     return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("stride", [1])
-def test_composed_pieces_match_per_step_loop(monkeypatch, stride):
+@pytest.mark.parametrize("group", [1, 3, 16])
+def test_composed_pieces_match_per_step_loop(monkeypatch, group):
     # every gap between outputs is one step, so the kernel takes the plain
     # forward step and must follow the per-step loop sample by sample; 700
-    # steps in 100-step noise blocks take seven fills of the chunk's stream.
-    # Longer gaps are exact in law only (test_gap_map_matches_per_step_recursion
-    # and the tests after it)
+    # steps in 100-step noise blocks take seven fills of the chunk's stream, so
+    # batches of steps end at fill ends as well as at group ends.  Longer gaps
+    # are exact in law only (test_gap_map_matches_per_step_recursion and the
+    # tests after it)
     from hybridosc import sde
 
     monkeypatch.setattr(sde, "BLOCK_STEPS", 100)
+    monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
     params = SystemParams.natural_units(0.3, d1=1.5, d2=0.7)
     dn = assemble_drift_noise(params)
     cfg = SimConfig(
         dt=1e-2, t_final=7.0, n_trajectories=40, seed=21,
-        initial_state=np.array([1.0, -0.5, 0.3, 0.8]), output_stride=stride,
+        initial_state=np.array([1.0, -0.5, 0.3, 0.8]), output_stride=1,
     )
-    output_steps = sde._output_steps(cfg.n_steps, stride)
-    ref = _per_step_em(dn, cfg, range(cfg.n_trajectories))[output_steps]
+    ref = _per_gap_em(dn, cfg, range(cfg.n_trajectories))
+    assert len(ref) == 701
 
     stats = simulate_ensemble(dn, cfg)
     assert _close(stats.mean, ref.mean(axis=1), 1e-13)
     assert _close(stats.cov, np.array([np.cov(z, rowvar=False) for z in ref]), 1e-13)
     assert _close(stats.energy_mean, total_energy(params, ref).mean(axis=1), 1e-13)
     _, path = sample_trajectory(dn, cfg, 17)
-    assert _close(path, ref[:, 17], 1e-13)
+    assert np.array_equal(path, ref[:, 17])
+
+
+@pytest.mark.parametrize("group", [1, 3, 16])
+def test_strided_paths_match_per_gap_loop(monkeypatch, group):
+    # outputs every 10 steps over 101 steps: ten (n, 4) blocks, then a one-step
+    # gap's (n, 2) block in the same fill.  Fills of 14 normals per trajectory
+    # hold at most three gaps, so batches of gaps end at fill ends, at the
+    # change of gap length and at group ends; each state must still be
+    # z A^L + zeta F_L of the per-gap loop bit for bit
+    from hybridosc import sde
+
+    monkeypatch.setattr(sde, "BLOCK_STEPS", 7)
+    monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3, d1=1.5, d2=0.7))
+    cfg = SimConfig(
+        dt=1e-2, t_final=1.01, n_trajectories=40, seed=22,
+        initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=10,
+    )
+    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    assert np.diff(output_steps).tolist() == [10] * 10 + [1]
+    ref = _per_gap_em(dn, cfg, range(cfg.n_trajectories))
+
+    maps, got = sde._gap_maps(dn, cfg, output_steps), np.empty_like(ref)
+    for k0, states in sde._steps(cfg, range(cfg.n_trajectories), output_steps, maps):
+        got[k0 : k0 + len(states)] = states
+    assert np.array_equal(got, ref)
+    _, path = sample_trajectory(dn, cfg, 17)
+    assert np.array_equal(path, ref[:, 17])
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 64, 2048, 5000])
