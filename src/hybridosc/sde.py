@@ -4,9 +4,16 @@ The scheme is the plain forward step
 
     z <- z A + sqrt(dt) (0, sqrt(D1) eta1, 0, sqrt(D2) eta2),   A = I - theta^T dt,
 
-with z a row vector and eta ~ N(0, I) iid, which is weakly first order and
-entirely adequate for additive noise (and, for additive noise, the
-Ito/Stratonovich distinction is moot).
+with z a row vector and eta ~ N(0, I) iid; it is weakly first order (and,
+for additive noise, the Ito/Stratonovich distinction is moot).  Its
+stationary law is biased by the step, not only slowly converging: forward
+Euler damps a mode mu of theta by |1 - mu dt|^2 = 1 - 2 Re(mu) dt (1 - rho),
+rho = |mu|^2 dt / (2 Re mu), so the chain is stable only for rho < 1 and the
+mode's stationary variance exceeds the process's by a factor of about
+1 / (1 - rho).  At weak coupling the slow modes have small Re mu and rho is
+about dt / lam^2: 0.44 at the command line's defaults (lam = 0.05,
+dt = 1e-3), which dt * max|eigenvalue| (the step-size guard, 1e-3 there)
+does not see.
 
 Between outputs the step is a linear Gaussian recursion, so a gap of L
 steps from one output to the next is one move, exact in law:
@@ -15,9 +22,9 @@ steps from one output to the next is one move, exact in law:
 
 with amp the two driven rows of the noise amplitude and zeta ~ N(0, I).  A
 one-step gap is the forward step (F_1 = amp); a longer one has F_L a square
-root of S_L.  A^L and vec S_L compose by squaring, once per gap length, so
-strided runs keep the forward scheme's dt bias and dt * max|eigenvalue|
-ceiling but not its per-step samples.  S_L grows like the square of A^L: an
+root of S_L.  The pair (A^L, S_L) composes by 4x4 doubling, once per gap
+length, so strided runs keep the forward scheme's dt bias and stability
+limit but not its per-step samples.  S_L grows like the square of A^L: an
 unstable run is reported at the first output whose gap map overflows, which
 can be earlier than its states would.
 
@@ -25,7 +32,9 @@ The gaps are stepped in batches: consecutive gaps of one length whose noise
 sits in one fill of the noise buffer get their terms zeta F_L from one
 product, written straight into the output slots they fill, and each slot then
 adds the previous state times A^L in place.  Addition commutes, so the states
-are those of the gap-by-gap move bit for bit, wherever a batch ends.
+are those of the gap-by-gap move bit for bit, wherever a batch ends.  An
+output group is held component-major, (g, 4, n), so that the per-output
+reductions run along the trajectories.
 
 Reproducibility model: chunk ``c`` of ``CHUNK_TRAJECTORIES`` trajectories
 (c * CHUNK_TRAJECTORIES onward) reads one counter-based stream,
@@ -35,25 +44,29 @@ gap, (eta1, eta2) for (p1, p2), or an (n, 4) block for a longer one; row j
 belongs to the chunk's trajectory j.  So the output steps and
 ``CHUNK_TRAJECTORIES`` fix the samples and the rounding (the rows stepped
 together and the merge order); ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound
-memory only.  Each chunk returns its moments as arrays over all output
-steps, merged with Chan's pairwise update in fixed chunk order, so results
-are bitwise identical for any number of workers (one per usable CPU).
+memory only.  One thread steps the chunks in order, and each chunk's moments,
+arrays over all output steps, are merged into the running total with Chan's
+pairwise update as it finishes.  Where a second CPU is usable, one helper
+thread draws the next fill of noise into the other of two fill buffers
+meanwhile; the results are bitwise identical with it or without it.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import functools
 import os
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalOverflow, SingularSystem
 from .model import DriftNoise, SystemParams, energy_weight_matrix
-from .steadystate import _affine_power, validate_covariance
+from .steadystate import validate_covariance
 
 # trajectories per chunk, each with one noise stream: part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
@@ -168,13 +181,18 @@ class EnsembleStats:
         stream.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def _energy(states: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    return 0.5 * (((states @ weight) * states) @ np.ones(4))
+def _energy(states: np.ndarray, weight: np.ndarray, work=None, out=None) -> np.ndarray:
+    """z^T W z / 2 over (..., n) of component-major ``states`` (..., 4, n), W = ``weight``
+    (symmetric); ``work`` (..., 4, n) and ``out`` (..., n) take the product and the result."""
+    work = np.matmul(weight, states, out=work)
+    work *= states
+    return np.matmul(np.full(4, 0.5), work, out=out)
 
 
 def total_energy(params: SystemParams, states: np.ndarray) -> np.ndarray:
     """Total mechanical energy for states of shape (..., 4)."""
-    return _energy(np.asarray(states, dtype=float), energy_weight_matrix(params))
+    energy = _energy(np.asarray(states, dtype=float)[..., None], energy_weight_matrix(params))
+    return energy[..., 0][()]  # [()] makes one state's energy a scalar
 
 
 def energy_drift(params: SystemParams, cov: np.ndarray) -> float:
@@ -235,16 +253,24 @@ def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray
 def _gap_map(drift: np.ndarray, amp: np.ndarray, length: int):
     """(A^L, F_L) of a gap of ``length`` steps, A = I + ``drift``; all-NaN F_L if S_L overflows.
 
-    vec S follows S <- A^T S A + amp^T amp from 0: d = A^T (x) A^T - I, built
-    from E = A^T - I so that slow decays are not rounded off against 1.
+    The pair (A^m, S_m) composes over the binary digits of L: doubling takes
+    (A, S) to (A^2, S + A^T S A), and a digit adds S_m <- S_m + (A^m)^T S A^m.
+    The square is carried as d = A - I, d <- 2d + d^2, so that slow decays
+    are not rounded off against 1.
     """
     eye = np.eye(4)
     if length == 1:
         return eye + drift, amp
-    power = _affine_power(drift, np.zeros((4, 4)), eye, length)
-    # vec convention: (A @ X @ B.T).ravel() == kron(A, B) @ X.ravel()
-    d = np.kron(drift.T, eye) + np.kron(eye, drift.T) + np.kron(drift.T, drift.T)
-    cov = _affine_power(d, (amp.T @ amp).ravel(), np.zeros(16), length).reshape(4, 4)
+    d, s = drift, amp.T @ amp  # A - I and S over 2^j steps
+    power, cov = eye, np.zeros((4, 4))  # A^m and S_m over the digits taken
+    while length:
+        if length & 1:
+            cov = cov + power.T @ s @ power
+            power = power + d @ power
+        length >>= 1
+        if length:
+            s = s + (eye + d).T @ s @ (eye + d)
+            d = 2 * d + d @ d
     return power, _gaussian_factor(cov).T if np.isfinite(cov).all() else np.full((4, 4), np.nan)
 
 
@@ -256,67 +282,103 @@ def _gap_maps(dn: DriftNoise, cfg: SimConfig, output_steps: np.ndarray) -> dict:
         return {gap: _gap_map(drift, amp, gap) for gap in set(np.diff(output_steps).tolist())}
 
 
-def _noise_layout(cfg: SimConfig, output_steps: np.ndarray):
-    """Gap lengths, where each gap's normals end per trajectory, and a fill's width per trajectory."""
+class _Layout(NamedTuple):
+    """What every chunk of one call shares: the gap lengths between outputs, where each gap's
+    normals end per trajectory, a fill's width per trajectory and the start's square root."""
+
+    gaps: list
+    ends: list
+    width: int
+    start: np.ndarray | None
+
+
+def _layout(cfg: SimConfig, output_steps: np.ndarray) -> _Layout:
     gaps = np.diff(output_steps)
     ends = (4 if cfg.initial_mean is not None else 0) + np.cumsum(np.where(gaps == 1, 2, 4))
     # room for the start and one gap, never more than a trajectory uses
-    return gaps, ends, int(min(max(2 * BLOCK_STEPS, 8), ends[-1]))
+    width = int(min(max(2 * BLOCK_STEPS, 8), ends[-1]))
+    start = None if cfg.initial_mean is None else _gaussian_factor(cfg.initial_cov)
+    return _Layout(gaps.tolist(), ends.tolist(), width, start)
 
 
-def _draws(seed: int, chunk: int, n: int, ends: np.ndarray, noise: np.ndarray):
-    """Fill ``noise`` with normals n * lo .. n * hi - 1 of chunk ``chunk``'s stream; yield (lo, hi).
+def _draws(seed: int, chunks: list, ends: list, width: int, buffers: list, pool=None):
+    """Yield (lo, hi, noise) per fill of each chunk (c, n) in turn; ``noise`` holds its normals.
 
-    The stream, ``Philox(key=seed).jumped(chunk)``, is gap-major: the block
-    of a gap whose normals end at ``end`` (per trajectory, see
-    :func:`_noise_layout`) with k of them is the (n, k) array at n * (end - k),
-    row j for the chunk's trajectory j.  A fill holds whole gaps, at most
-    ``len(noise) // n`` normals per trajectory, and is one call, which
-    releases the interpreter lock.
+    The stream of chunk c, ``Philox(key=seed).jumped(c)``, is gap-major: the
+    block of a gap whose normals end at ``end`` (per trajectory, see
+    :func:`_layout`) with k of them is the (n, k) array at n * (end - k), row
+    j for the chunk's trajectory j.  A fill holds the whole gaps in normals
+    lo .. hi - 1 per trajectory, at most ``width`` of them, and is one call,
+    which releases the interpreter lock; ``noise`` stays valid until the next
+    fill is asked for.  Without a ``pool`` each fill is drawn when asked for,
+    into ``buffers[0]``.  With a ``pool`` of one worker, the next fill of the
+    sequence is drawn there, into the other of two ``buffers``, while the
+    caller works on this one.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) % (1 << 64))).jumped(chunk))
-    lo = 0
-    while lo < ends[-1]:
-        hi = int(ends[np.searchsorted(ends, lo + len(noise) // n, "right") - 1])
-        rng.standard_normal(n * (hi - lo), out=noise[: n * (hi - lo)])
-        yield lo, hi
-        lo = hi
+
+    def draw(rng, n, lo, hi, noise):
+        noise = noise[: n * (hi - lo)]
+        rng.standard_normal(len(noise), out=noise)
+        return lo, hi, noise
+
+    def jobs():
+        for chunk, n in chunks:
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) % (1 << 64))).jumped(chunk))
+            lo = 0
+            while lo < ends[-1]:
+                hi = ends[bisect.bisect_right(ends, lo + width) - 1]
+                yield rng, n, lo, hi
+                lo = hi
+
+    if pool is None:
+        for job in jobs():
+            yield draw(*job, buffers[0])
+        return
+    todo = jobs()
+    ahead = pool.submit(draw, *next(todo), buffers[0])
+    for k, job in enumerate(todo, 1):
+        # the caller asks for fill k - 1, so it is done with fill k - 2 in buffers[k % 2]
+        current, ahead = ahead, pool.submit(draw, *job, buffers[k % 2])
+        yield current.result()
+    yield ahead.result()
 
 
-def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict, buf=None):
-    """Step chunk ``indices`` together, one row each, noise in ``buf``; yield (k0, states) per group.
+def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict, layout=None, fills=None):
+    """Step chunk ``indices`` together, one row each; yield (k0, states) per group.
 
-    ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS, and the next group
-    overwrites it.  Each gap is one move of its map in ``maps`` (:func:`_gap_maps`), taken in
-    batches: a run of m consecutive gaps of one length whose noise lies in the current fill and
-    that fit in the group's free slots gets its noise terms from one product into those slots,
-    then each slot adds the previous state times A^L in turn.  Addition commutes, so every state
-    is z A^L + zeta F_L bit for bit, and ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound memory
-    only.  Rows that overflow are left to the caller's :func:`_finite`."""
-    gaps, ends, width = _noise_layout(cfg, output_steps)
+    ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS, as a view of a
+    component-major (g, 4, n) array that the next group overwrites.  ``layout`` is
+    :func:`_layout`'s and ``fills`` an iterator of :func:`_draws` whose next fills are the
+    chunk's; by default the chunk draws its own.  Each gap is one move of its map in ``maps``
+    (:func:`_gap_maps`), taken in batches: a run of m consecutive gaps of one length whose
+    noise lies in the current fill and that fit in the group's free slots gets its noise terms
+    from one product into those slots, then each slot adds A^L times the previous state in
+    turn.  Addition commutes, so every state is z A^L + zeta F_L bit for bit, and
+    ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound memory only.  Rows that overflow are left to
+    the caller's :func:`_finite`."""
+    gaps, ends, width, start = _layout(cfg, output_steps) if layout is None else layout
     n = len(indices)
-    noise = np.empty(n * width) if buf is None else buf[: n * width]
-    draws = _draws(cfg.seed, indices.start // CHUNK_TRAJECTORIES, n, ends, noise)
-    lo, hi = next(draws)
-    gaps, ends = gaps.tolist(), ends.tolist()
+    if fills is None:
+        chunk = indices.start // CHUNK_TRAJECTORIES
+        fills = _draws(cfg.seed, [(chunk, n)], ends, width, [np.empty(n * width)])
+    lo, hi, noise = next(fills)
 
+    group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), 4, n))
+    rows = group.transpose(0, 2, 1)
     if cfg.initial_state is not None:
-        z = np.tile(np.asarray(cfg.initial_state, dtype=float).reshape(1, 4), (n, 1))
-    elif cfg.initial_mean is not None:
-        factor = _gaussian_factor(cfg.initial_cov)
-        z = np.asarray(cfg.initial_mean, dtype=float) + noise[: 4 * n].reshape(n, 4) @ factor.T
+        rows[0] = np.asarray(cfg.initial_state, dtype=float)
+    elif start is not None:
+        rows[0] = np.asarray(cfg.initial_mean, dtype=float) + noise[: 4 * n].reshape(n, 4) @ start.T
     else:
-        z = np.zeros((n, 4))
-
-    group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), n, 4))
-    group[0] = z
+        group[0] = 0.0
+    z = group[0]
     k0, g, i = 0, 1, 0  # group[:g] holds outputs k0 .. k0 + g - 1; gap i comes next
     with np.errstate(over="ignore", invalid="ignore"):
         while i < len(gaps):
             if ends[i] > hi:
-                lo, hi = next(draws)
+                lo, hi, noise = next(fills)
             if g == len(group):
-                yield k0, group
+                yield k0, rows
                 z = z.copy()  # its slot takes the next batch
                 k0, g = k0 + g, 0
             length = gaps[i]
@@ -324,36 +386,41 @@ def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict,
             while g + m < len(group) and i + m < len(gaps) and gaps[i + m] == length and ends[i + m] <= hi:
                 m += 1
             power, factor = maps[length]
-            start = n * (ends[i] - lo - len(factor))
-            block = noise[start : start + m * n * len(factor)].reshape(m, n, -1)
-            np.matmul(block, factor, out=group[g : g + m])
+            first = n * (ends[i] - lo - len(factor))
+            block = noise[first : first + m * n * len(factor)].reshape(m, n, -1)
+            np.matmul(factor.T, block.transpose(0, 2, 1), out=group[g : g + m])
             for slot in group[g : g + m]:
-                slot += z @ power
+                slot += power.T @ z
                 z = slot
             g, i = g + m, i + m
-        yield k0, group[:g]
+        yield k0, rows[:g]
 
 
 def _run_chunk(
-    cfg: SimConfig, output_steps: np.ndarray, maps: dict, weight: np.ndarray, indices: range, buf
+    cfg: SimConfig, output_steps: np.ndarray, maps: dict, weight: np.ndarray, layout: _Layout, fills,
+    indices: range,
 ):
     """One block of trajectories' (count, mean, m2, e_mean, e_m2) at every output step."""
-    n_out = len(output_steps)
+    n, n_out = len(indices), len(output_steps)
     times = output_steps * cfg.dt
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
     e_mean, e_m2 = np.empty(n_out), np.empty(n_out)
-    ones = np.ones(len(indices))
-    for k0, states in _steps(cfg, indices, output_steps, maps, buf):
-        _finite(states, indices, times[k0:])
-        out = slice(k0, k0 + len(states))
-        mean[out] = (ones @ states) / len(indices)
-        centred = states - mean[out, None]
-        m2[out] = centred.transpose(0, 2, 1) @ centred
-        energies = _energy(states, weight)
-        # not ones @ energies: one (g, n) gemv rounds differently for different group sizes
-        e_mean[out] = energies.mean(axis=1)
-        e_m2[out] = ((energies - e_mean[out, None]) ** 2).sum(axis=1)
-    return len(indices), mean, m2, e_mean, e_m2
+    ones = np.ones(n)
+    size = min(GROUP_OUTPUTS, n_out)
+    centred, weighted, energies = np.empty((size, 4, n)), np.empty((size, 4, n)), np.empty((size, n))
+    for k0, rows in _steps(cfg, indices, output_steps, maps, layout, fills):
+        _finite(rows, indices, times[k0:])
+        g = len(rows)
+        out = slice(k0, k0 + g)
+        states = rows.transpose(0, 2, 1)  # (g, 4, n), contiguous
+        mean[out] = (states @ ones) / n
+        np.subtract(states, mean[out, :, None], out=centred[:g])
+        m2[out] = centred[:g] @ centred[:g].transpose(0, 2, 1)
+        _energy(states, weight, weighted[:g], energies[:g])
+        # not energies @ ones: one (g, n) gemv rounds differently for different group sizes
+        e_mean[out] = energies[:g].mean(axis=1)
+        e_m2[out] = ((energies[:g] - e_mean[out, None]) ** 2).sum(axis=1)
+    return n, mean, m2, e_mean, e_m2
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -372,46 +439,42 @@ def _merge(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _in_chunk_order(pool: ThreadPoolExecutor, run, chunks: list, window: int):
-    """Yield ``run(chunk)`` in chunk order with at most ``window`` chunks in flight."""
-    pending: deque = deque()
-    for chunk in chunks:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(run, chunk))
-    while pending:
-        yield pending.popleft().result()
-
-
 def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     """Integrate an ensemble and return streaming moment statistics.
 
-    Trajectories are partitioned into fixed-size chunks; chunks run on a
-    thread pool with one worker per usable CPU (at most one per chunk) and
-    are merged in chunk order as they arrive, so the result does not depend
-    on the worker count and at most one unmerged chunk result per worker is
-    held at a time.  Memory grows with the worker count, never with the
-    ensemble size.
+    Trajectories are partitioned into fixed-size chunks.  The calling thread
+    steps and records every chunk in chunk order and merges each one as it
+    finishes.  Where more than one CPU is usable (the process's affinity
+    mask) and the call takes more than one fill of noise, one helper thread
+    draws the next fill, chunk after chunk, into the other of two fill
+    buffers while the caller steps the current one; otherwise each fill is
+    drawn when it is needed, into one buffer.  Drawing releases the
+    interpreter lock, while the many small products of stepping would
+    contend for it, so the design uses at most two threads and does not
+    scale to more cores.  The results are bitwise identical either way, and
+    memory is at most two fill buffers and one chunk's results besides the
+    running total, never growing with the ensemble size.  The helper thread
+    has ended when this function returns or raises.
     """
     _check_step_size(dn, cfg)
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
     weight = energy_weight_matrix(dn.params)
-
     chunks = [
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
     ]
     maps = _gap_maps(dn, cfg, output_steps)
-    n_workers = min(_usable_cpus(), len(chunks))
-    # chunk i starts after chunk i - n_workers has finished (_in_chunk_order), so the two
-    # share a noise buffer; blocks freed per chunk can stay resident in the allocator
-    width = _noise_layout(cfg, output_steps)[2]
-    buffers = [np.empty(len(chunks[0]) * width) for _ in range(n_workers)]
-    jobs = [(idx, buffers[i % n_workers]) for i, idx in enumerate(chunks)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        run = functools.partial(_run_chunk, cfg, output_steps, maps, weight)
-        results = _in_chunk_order(pool, lambda job: run(*job), jobs, n_workers)
-        n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, results)
+    layout = _layout(cfg, output_steps)
+    # a call of one fill has nothing to draw ahead
+    ahead = _usable_cpus() > 1 and (len(chunks) > 1 or layout.width < layout.ends[-1])
+    buffers = [np.empty(len(chunks[0]) * layout.width) for _ in range(2 if ahead else 1)]
+    with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as pool:
+        fills = _draws(
+            cfg.seed, [(c.start // CHUNK_TRAJECTORIES, len(c)) for c in chunks],
+            layout.ends, layout.width, buffers, pool,
+        )
+        run = functools.partial(_run_chunk, cfg, output_steps, maps, weight, layout, fills)
+        n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, map(run, chunks))
 
     # a one-trajectory ensemble has m2 == 0 exactly: 0/0 leaves NaN spreads
     with np.errstate(divide="ignore", invalid="ignore"):

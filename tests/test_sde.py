@@ -34,9 +34,9 @@ def test_noise_stream_partition_invariance():
     ):
         noise = np.empty(n * width)
         got, fills = [], []
-        for lo, hi in sde._draws(42, chunk, n, ends, noise):
+        for lo, hi, fill in sde._draws(42, [(chunk, n)], ends, width, [noise]):
             fills.append((lo, hi))
-            got.append(noise[: n * (hi - lo)].copy())
+            got.append(fill.copy())
         assert fills == want_fills
         assert np.array_equal(np.concatenate(got), want)
 
@@ -82,16 +82,43 @@ def test_same_seed_same_statistics():
 _STATS_ARRAYS = ("times", "mean", "mean_stderr", "cov", "cov_stderr", "energy_mean", "energy_stderr")
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+@pytest.mark.parametrize("block_steps", [None, 7], ids=["default", "7"])
+def test_thread_count_does_not_change_results(monkeypatch, block_steps):
+    # 2100 trajectories make three chunks, the last one partial.  With fills
+    # of 7 steps each chunk takes 15 fills, so the helper thread hands over
+    # fills drawn ahead within a chunk and from one chunk to the next; at
+    # most one helper thread runs during the call and none is left after it
+    import sys
+    import threading
+
     from hybridosc import sde
 
+    if block_steps is not None:
+        monkeypatch.setattr(sde, "BLOCK_STEPS", block_steps)
     params = SystemParams.natural_units(0.3)
     dn = assemble_drift_noise(params)
     cfg = SimConfig(dt=1e-2, t_final=1.0, n_trajectories=2100, seed=5)
+    before, seen = threading.active_count(), []
+    finite = sde._finite
+
+    def counting(*args):
+        seen.append(threading.active_count())
+        return finite(*args)
+
+    monkeypatch.setattr(sde, "_finite", counting)
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
     serial = simulate_ensemble(dn, cfg)
+    assert set(seen) == {before}
+    seen.clear()
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 4)
-    threaded = simulate_ensemble(dn, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock between the threads often
+    try:
+        threaded = simulate_ensemble(dn, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(seen) == before + 1
+    assert threading.active_count() == before
     for name in _STATS_ARRAYS:
         assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
 
@@ -129,14 +156,19 @@ def test_group_size_does_not_change_results(monkeypatch):
         assert np.array_equal(getattr(default, name), getattr(grouped, name)), name
 
 
-def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     # the runaway of test_overflow_detected from scattered starts: the paths
     # leave the float range about 2390 outputs in, far past the first group,
     # and the trajectories go within a few outputs of each other, so the
     # report must take the first bad output, then its first bad trajectory,
-    # as the per-step loop on the same stream finds them
+    # as the per-step loop on the same stream finds them.  With two CPUs the
+    # helper thread drawing ahead must have ended when the error is raised
+    import threading
+
     from hybridosc import sde
 
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
     runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
     cfg = SimConfig(
         dt=0.9, t_final=3000.0, n_trajectories=6, seed=7,
@@ -149,9 +181,11 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch):
     messages = []
     for group in (1, 3, 16):
         monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
+        before = threading.active_count()
         with pytest.warns(UserWarning, match="discretisation bias"):
             with pytest.raises(NumericalOverflow) as caught:
                 simulate_ensemble(runaway, cfg)
+        assert threading.active_count() == before
         messages.append(str(caught.value))
     assert messages[0] == messages[1] == messages[2]
     assert messages[0] == f"trajectory {row} overflowed near t = {step * cfg.dt:.6g}"
@@ -656,24 +690,3 @@ def test_sample_trajectory_matches_member_of_multi_trajectory_chunk(monkeypatch)
         member[k0 : k0 + len(group)] = group[:, index - 128]
     _, path = sample_trajectory(dn, cfg, index)
     assert np.array_equal(path, member)
-
-
-def test_chunks_merge_in_order_with_bounded_window():
-    from concurrent.futures import ThreadPoolExecutor
-
-    from hybridosc import sde
-
-    started = []
-
-    def run(chunk):
-        started.append(chunk)
-        return chunk * 10
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = []
-        for value in sde._in_chunk_order(pool, run, list(range(7)), 2):
-            # at most `window` chunks are submitted but not yet handed back
-            assert len(started) - len(results) <= 2
-            results.append(value)
-    assert results == [c * 10 for c in range(7)]
-
