@@ -9,125 +9,57 @@ mutual-information diagnostics, and the classical-quantum layer built on the
 exact harmonic mapping.
 """
 
-from .cq import (
-    CQParams,
-    HybridCorrelators,
-    Occupation,
-    ThermalReport,
-    gibbs_covariances,
-    hybrid_correlators,
-    hybrid_equal_time,
-    map_to_classical,
-    occupation_from_keldysh,
-    occupation_number,
-    thermal_limit,
-)
-from .errors import (
-    ClassificationFailure,
-    CouplingZero,
-    DegeneratePoles,
-    HybridOscError,
-    NotStable,
-    NumericalOverflow,
-    OverdampedUnsupported,
-    PerfectCorrelation,
-    PoleOnAxis,
-    SingularSystem,
-    TradeoffViolation,
-)
-from .model import (
-    STATE_ORDER,
-    DriftNoise,
-    OscillatorParams,
-    SystemParams,
-    assemble_drift_noise,
-    characteristic_polynomial,
-)
-from .sde import (
-    EnsembleStats,
-    SimConfig,
-    energy_drift,
-    sample_trajectory,
-    simulate_ensemble,
-    total_energy,
-)
-from .spectral import (
-    CorrelatorTable,
-    GreensFrequency,
-    PoleSet,
-    correlation_coefficient,
-    correlators_exact,
-    correlators_small_lambda,
-    exact_equal_time,
-    find_poles,
-    greens,
-    greens_inverse,
-    mutual_information,
-    perturbative_poles,
-    sigma_ratio,
-)
-from .stability import StabilityReport, routh_hurwitz
-from .steadystate import (
-    closed_form_covariances,
-    evolve_moments,
-    lyapunov_residual,
-    solve_lyapunov,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CQParams",
-    "ClassificationFailure",
-    "CorrelatorTable",
-    "CouplingZero",
-    "DegeneratePoles",
-    "DriftNoise",
-    "EnsembleStats",
-    "GreensFrequency",
-    "HybridCorrelators",
-    "HybridOscError",
-    "NotStable",
-    "NumericalOverflow",
-    "Occupation",
-    "OscillatorParams",
-    "OverdampedUnsupported",
-    "PerfectCorrelation",
-    "PoleOnAxis",
-    "PoleSet",
-    "STATE_ORDER",
-    "SimConfig",
-    "SingularSystem",
-    "StabilityReport",
-    "SystemParams",
-    "ThermalReport",
-    "TradeoffViolation",
-    "assemble_drift_noise",
-    "characteristic_polynomial",
-    "closed_form_covariances",
-    "correlation_coefficient",
-    "correlators_exact",
-    "correlators_small_lambda",
-    "energy_drift",
-    "evolve_moments",
-    "exact_equal_time",
-    "find_poles",
-    "gibbs_covariances",
-    "greens",
-    "greens_inverse",
-    "hybrid_correlators",
-    "hybrid_equal_time",
-    "lyapunov_residual",
-    "map_to_classical",
-    "mutual_information",
-    "occupation_from_keldysh",
-    "occupation_number",
-    "perturbative_poles",
-    "routh_hurwitz",
-    "sample_trajectory",
-    "sigma_ratio",
-    "simulate_ensemble",
-    "solve_lyapunov",
-    "thermal_limit",
-    "total_energy",
-]
+# every public name, listed once under the module that defines it.  A name is
+# imported from its module on first access (PEP 562), so ``import hybridosc``
+# loads no submodule and a caller pays only for the modules it uses.
+_EXPORTS = {
+    "cq": (
+        "CQParams", "HybridCorrelators", "Occupation", "ThermalReport", "gibbs_covariances",
+        "hybrid_correlators", "hybrid_equal_time", "map_to_classical",
+        "occupation_from_keldysh", "occupation_number", "thermal_limit",
+    ),
+    "errors": (
+        "ClassificationFailure", "CouplingZero", "DegeneratePoles", "HybridOscError",
+        "NotStable", "NumericalOverflow", "OverdampedUnsupported", "PerfectCorrelation",
+        "PoleOnAxis", "SingularSystem", "TradeoffViolation",
+    ),
+    "model": (
+        "STATE_ORDER", "DriftNoise", "OscillatorParams", "SystemParams",
+        "assemble_drift_noise", "characteristic_polynomial",
+    ),
+    "sde": (
+        "EnsembleStats", "SimConfig", "energy_drift", "sample_trajectory",
+        "simulate_ensemble", "total_energy",
+    ),
+    "spectral": (
+        "CorrelatorTable", "GreensFrequency", "PoleSet", "correlation_coefficient",
+        "correlators_exact", "correlators_small_lambda", "exact_equal_time", "find_poles",
+        "greens", "greens_inverse", "mutual_information", "perturbative_poles", "sigma_ratio",
+    ),
+    "stability": ("StabilityReport", "routh_hurwitz"),
+    "steadystate": (
+        "closed_form_covariances", "evolve_moments", "lyapunov_residual", "solve_lyapunov",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

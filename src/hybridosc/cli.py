@@ -7,7 +7,8 @@ alone: 0 success; 2 rejected input (a ``ValueError``, ``TypeError`` or
 ``OSError`` from any flag, config value or file, or output path), with one
 ``config error:`` line; 3 numerical refusal (``HybridOscError``,
 ``LinAlgError`` or an ``ArithmeticError`` such as a float overflow); 4
-verification failure.
+verification failure.  Each subcommand imports the library modules it runs
+when it runs, so a start loads no others.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import sys
 
 import numpy as np
 
-from . import cq as cq_mod
-from . import sde, spectral, stability, steadystate, verify
 from .errors import HybridOscError
 from .model import SystemParams, assemble_drift_noise
 
@@ -98,6 +97,8 @@ def _json_dump(obj) -> str:
 
 
 def _cmd_stability(args, config) -> int:
+    from . import stability
+
     params = _system_params(args, config)
     report = stability.routh_hurwitz(params)
     _emit(_json_dump(report.to_dict()), args.output)
@@ -105,6 +106,8 @@ def _cmd_stability(args, config) -> int:
 
 
 def _cmd_steadystate(args, config) -> int:
+    from . import steadystate
+
     params = _system_params(args, config)
     dn = assemble_drift_noise(params)
     closed = steadystate.closed_form_covariances(params)
@@ -126,6 +129,8 @@ def _cmd_steadystate(args, config) -> int:
 
 
 def _cmd_simulate(args, config) -> int:
+    from . import sde, steadystate
+
     params = _system_params(args, config)
     sim = _merged(_DEFAULT_SIM, config, args)
     dn = assemble_drift_noise(params)
@@ -161,6 +166,8 @@ def _cmd_simulate(args, config) -> int:
 
 
 def _cmd_poles(args, config) -> int:
+    from . import spectral
+
     params = _system_params(args, config)
     poles = spectral.find_poles(params)
     payload = poles.to_dict()
@@ -175,6 +182,8 @@ def _cmd_poles(args, config) -> int:
 
 
 def _cmd_correlators(args, config) -> int:
+    from . import spectral
+
     params = _system_params(args, config)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
@@ -202,8 +211,10 @@ def _cmd_correlators(args, config) -> int:
 
 
 def _cmd_cq(args, config) -> int:
+    from . import cq
+
     values = _merged(_DEFAULT_CQ, config, args)
-    hybrid = cq_mod.CQParams(
+    hybrid = cq.CQParams(
         classical_mass=float(values["mC"]),
         classical_spring=float(values["kC"]),
         damping=float(values["alpha"]),
@@ -212,14 +223,14 @@ def _cmd_cq(args, config) -> int:
         quantum_spring=float(values["kQ"]),
         coupling=float(values["lambda"]),
     )
-    occ = cq_mod.occupation_number(hybrid)
-    report = cq_mod.thermal_limit(hybrid)
+    occ = cq.occupation_number(hybrid)
+    report = cq.thermal_limit(hybrid)
     _emit(
         _json_dump(
             {
                 "T_C": occ.temperature,
                 "N": occ.n,
-                "N_keldysh_route": cq_mod.occupation_from_keldysh(hybrid),
+                "N_keldysh_route": cq.occupation_from_keldysh(hybrid),
                 "equal_time": report.equal_time,
                 "gibbs_deviation": report.max_deviation_gibbs,
             }
@@ -234,6 +245,8 @@ def _cmd_cq(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
+    from . import verify
+
     params = _system_params(args, config)
     checks = verify.run_checks(
         params,

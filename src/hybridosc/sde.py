@@ -322,8 +322,12 @@ def _draws(seed: int, chunks: list, ends: list, width: int, buffers: list, pool=
         return lo, hi, noise
 
     def jobs():
+        key = np.uint64(int(seed) % (1 << 64))
         for chunk, n in chunks:
-            rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed) % (1 << 64))).jumped(chunk))
+            # jumped(chunk) is the counter (0, 0, chunk, 0); setting it costs a third as much.
+            # A list would cast chunk = 2**64 - 1 through float
+            counter = np.array([0, 0, chunk, 0], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
             lo = 0
             while lo < ends[-1]:
                 hi = ends[bisect.bisect_right(ends, lo + width) - 1]

@@ -14,3 +14,22 @@ def test_tracer_installs_on_every_traced_name(monkeypatch):
         tracer.install("hybridosc")  # AttributeError for a deleted or renamed name
     finally:
         tracer.uninstall()
+
+
+def test_traced_cli_replay_records_each_layer(monkeypatch, tmp_path):
+    # a subcommand imports its modules when it runs; it must still call them
+    # through the module objects that the tracer patches
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.spans import Tracer
+
+    from hybridosc import cli
+
+    tracer = Tracer()
+    tracer.install("hybridosc")
+    try:
+        for command in ("stability", "steadystate", "cq"):
+            assert cli.main([command, "-o", str(tmp_path / f"{command}.json")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    assert {"cli.main", "stability.routh_hurwitz", "model.assemble_drift_noise", "cq.thermal_limit"} <= names

@@ -50,19 +50,23 @@ def test_stream_contract_two_normals_per_step(monkeypatch):
     # stream's normals, one (n, 2) block per step, row j for the chunk's
     # trajectory j, column 0 for p1 and column 1 for p2.  In chunks of 1024
     # trajectory 5 is row 5 of chunk 0; in chunks of 3 it is row 2 of chunk 1,
-    # whose blocks have 3 rows.  sqrt(D dt) is a power of two, so scaling the
-    # running sum equals summing the scaled steps bitwise
+    # whose blocks have 3 rows.  Of 3 * 2**64 trajectories in chunks of 3 the
+    # last is row 2 of chunk 2**64 - 1, an index a cast through float loses.
+    # sqrt(D dt) is a power of two, so scaling the running sum equals summing
+    # the scaled steps bitwise
     from hybridosc import sde
 
-    d1, d2, dt, n_steps, seed, index = 4.0, 0.25, 1.0 / 64, 50, 13, 5
+    d1, d2, dt, n_steps, seed = 4.0, 0.25, 1.0 / 64, 50, 13
     dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, d1, 1.0, 0.0, d2, 0.0))
-    cfg = SimConfig(
-        dt=dt, t_final=n_steps * dt, n_trajectories=8, seed=seed,
-        initial_state=np.zeros(4), output_stride=1,
-    )
-    for chunk_size, chunk, rows, row in ((1024, 0, 8, 5), (3, 1, 3, 2)):
+    for chunk_size, n_traj, chunk, rows, row in (
+        (1024, 8, 0, 8, 5), (3, 8, 1, 3, 2), (3, 3 * 2**64, 2**64 - 1, 3, 2),
+    ):
         monkeypatch.setattr(sde, "CHUNK_TRAJECTORIES", chunk_size)
-        _, path = sample_trajectory(dn, cfg, index)
+        cfg = SimConfig(
+            dt=dt, t_final=n_steps * dt, n_trajectories=n_traj, seed=seed,
+            initial_state=np.zeros(4), output_stride=1,
+        )
+        _, path = sample_trajectory(dn, cfg, chunk * chunk_size + row)
         eta = _chunk_stream(seed, chunk).standard_normal((n_steps, rows, 2))[:, row]
         assert np.array_equal(path[1:, 1], np.sqrt(d1 * dt) * np.cumsum(eta[:, 0]))
         assert np.array_equal(path[1:, 3], np.sqrt(d2 * dt) * np.cumsum(eta[:, 1]))
