@@ -37,18 +37,20 @@ output group is held component-major, (g, 4, n), so that the per-output
 reductions run along the trajectories.
 
 Reproducibility model: chunk ``c`` of ``CHUNK_TRAJECTORIES`` trajectories
-(c * CHUNK_TRAJECTORIES onward) reads one counter-based stream,
-``Philox(key=seed).jumped(c)``, gap-major: an (n, 4) block of normals for a
-Gaussian start, then per gap in output order an (n, 2) block for a one-step
-gap, (eta1, eta2) for (p1, p2), or an (n, 4) block for a longer one; row j
+(c * CHUNK_TRAJECTORIES onward) reads one stream, ``SFC64`` seeded by
+``SeedSequence(seed mod 2**64, spawn_key=(c,))`` (the c-th child of the
+seed's sequence), gap-major: an (n, 4) block of normals for a Gaussian
+start, then per gap in output order an (n, 2) block for a one-step gap,
+(eta1, eta2) for (p1, p2), or an (n, 4) block for a longer one; row j
 belongs to the chunk's trajectory j.  So the output steps and
 ``CHUNK_TRAJECTORIES`` fix the samples and the rounding (the rows stepped
 together and the merge order); ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound
 memory only.  One thread steps the chunks in order, and each chunk's moments,
 arrays over all output steps, are merged into the running total with Chan's
-pairwise update as it finishes.  Where a second CPU is usable, one helper
-thread draws the next fill of noise into the other of two fill buffers
-meanwhile; the results are bitwise identical with it or without it.
+pairwise update as it finishes.  Where a second CPU is usable and a fill
+holds at least ``AHEAD_NORMALS`` normals, one helper thread draws the next
+fill of noise into the other of two fill buffers meanwhile; the results are
+bitwise identical with it or without it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ CHUNK_TRAJECTORIES = 1024
 BLOCK_STEPS = 1024
 # outputs reduced at once: bounds memory only, results do not depend on it
 GROUP_OUTPUTS = 16
+# fills of fewer normals are drawn inline: handing one to a helper thread costs more than
+# it saves (2 CPUs: 12,288 normals 16% slower than inline, 36,864 8% faster, 135,168 28%
+# faster; BENCH_em_sfc64.json).  Speed only: results do not depend on it
+AHEAD_NORMALS = 1 << 15
 
 DT_WARN_FACTOR = 0.1
 DT_ERROR_FACTOR = 1.0
@@ -304,16 +310,16 @@ def _layout(cfg: SimConfig, output_steps: np.ndarray) -> _Layout:
 def _draws(seed: int, chunks: list, ends: list, width: int, buffers: list, pool=None):
     """Yield (lo, hi, noise) per fill of each chunk (c, n) in turn; ``noise`` holds its normals.
 
-    The stream of chunk c, ``Philox(key=seed).jumped(c)``, is gap-major: the
-    block of a gap whose normals end at ``end`` (per trajectory, see
-    :func:`_layout`) with k of them is the (n, k) array at n * (end - k), row
-    j for the chunk's trajectory j.  A fill holds the whole gaps in normals
-    lo .. hi - 1 per trajectory, at most ``width`` of them, and is one call,
-    which releases the interpreter lock; ``noise`` stays valid until the next
-    fill is asked for.  Without a ``pool`` each fill is drawn when asked for,
-    into ``buffers[0]``.  With a ``pool`` of one worker, the next fill of the
-    sequence is drawn there, into the other of two ``buffers``, while the
-    caller works on this one.
+    The stream of chunk c, ``SFC64(SeedSequence(seed mod 2**64, spawn_key=(c,)))``,
+    is gap-major: the block of a gap whose normals end at ``end`` (per
+    trajectory, see :func:`_layout`) with k of them is the (n, k) array at
+    n * (end - k), row j for the chunk's trajectory j.  A fill holds the
+    whole gaps in normals lo .. hi - 1 per trajectory, at most ``width`` of
+    them, and is one call, which releases the interpreter lock; ``noise``
+    stays valid until the next fill is asked for.  Without a ``pool`` each
+    fill is drawn when asked for, into ``buffers[0]``.  With a ``pool`` of
+    one worker, the next fill of the sequence is drawn there, into the other
+    of two ``buffers``, while the caller works on this one.
     """
 
     def draw(rng, n, lo, hi, noise):
@@ -322,12 +328,10 @@ def _draws(seed: int, chunks: list, ends: list, width: int, buffers: list, pool=
         return lo, hi, noise
 
     def jobs():
-        key = np.uint64(int(seed) % (1 << 64))
+        entropy = int(seed) % (1 << 64)
         for chunk, n in chunks:
-            # jumped(chunk) is the counter (0, 0, chunk, 0); setting it costs a third as much.
-            # A list would cast chunk = 2**64 - 1 through float
-            counter = np.array([0, 0, chunk, 0], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            stream = np.random.SeedSequence(entropy, spawn_key=(chunk,))
+            rng = np.random.Generator(np.random.SFC64(stream))
             lo = 0
             while lo < ends[-1]:
                 hi = ends[bisect.bisect_right(ends, lo + width) - 1]
@@ -359,7 +363,7 @@ def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict,
     from one product into those slots, then each slot adds A^L times the previous state in
     turn.  Addition commutes, so every state is z A^L + zeta F_L bit for bit, and
     ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound memory only.  Rows that overflow are left to
-    the caller's :func:`_finite`."""
+    the caller."""
     gaps, ends, width, start = _layout(cfg, output_steps) if layout is None else layout
     n = len(indices)
     if fills is None:
@@ -404,7 +408,11 @@ def _run_chunk(
     cfg: SimConfig, output_steps: np.ndarray, maps: dict, weight: np.ndarray, layout: _Layout, fills,
     indices: range,
 ):
-    """One block of trajectories' (count, mean, m2, e_mean, e_m2) at every output step."""
+    """One block of trajectories' (count, mean, m2, e_mean, e_m2) at every output step.
+
+    A non-finite state makes its output's sum non-finite, so only a group
+    with a non-finite sum is searched (:func:`_finite`) for the first bad
+    output and trajectory; sums that overflow from finite states raise nothing."""
     n, n_out = len(indices), len(output_steps)
     times = output_steps * cfg.dt
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
@@ -413,11 +421,13 @@ def _run_chunk(
     size = min(GROUP_OUTPUTS, n_out)
     centred, weighted, energies = np.empty((size, 4, n)), np.empty((size, 4, n)), np.empty((size, n))
     for k0, rows in _steps(cfg, indices, output_steps, maps, layout, fills):
-        _finite(rows, indices, times[k0:])
         g = len(rows)
         out = slice(k0, k0 + g)
         states = rows.transpose(0, 2, 1)  # (g, 4, n), contiguous
-        mean[out] = (states @ ones) / n
+        sums = states @ ones
+        if not np.isfinite(sums).all():
+            _finite(rows, indices, times[k0:])
+        mean[out] = sums / n
         np.subtract(states, mean[out, :, None], out=centred[:g])
         m2[out] = centred[:g] @ centred[:g].transpose(0, 2, 1)
         _energy(states, weight, weighted[:g], energies[:g])
@@ -449,16 +459,19 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     Trajectories are partitioned into fixed-size chunks.  The calling thread
     steps and records every chunk in chunk order and merges each one as it
     finishes.  Where more than one CPU is usable (the process's affinity
-    mask) and the call takes more than one fill of noise, one helper thread
-    draws the next fill, chunk after chunk, into the other of two fill
-    buffers while the caller steps the current one; otherwise each fill is
-    drawn when it is needed, into one buffer.  Drawing releases the
-    interpreter lock, while the many small products of stepping would
-    contend for it, so the design uses at most two threads and does not
-    scale to more cores.  The results are bitwise identical either way, and
-    memory is at most two fill buffers and one chunk's results besides the
-    running total, never growing with the ensemble size.  The helper thread
-    has ended when this function returns or raises.
+    mask), the call takes more than one fill of noise and a fill holds at
+    least ``AHEAD_NORMALS`` normals, one helper thread draws the next fill,
+    chunk after chunk, into the other of two fill buffers while the caller
+    steps the current one; otherwise each fill is drawn when it is needed,
+    into one buffer.  Below that size handing a fill to the helper costs
+    more than it saves, so a strided call of a few outputs (a dozen normals
+    per trajectory) draws inline and an every-step call draws ahead.  Drawing
+    releases the interpreter lock, while the many small products of stepping
+    would contend for it, so the design uses at most two threads and does
+    not scale to more cores.  The results are bitwise identical either way,
+    and memory is at most two fill buffers and one chunk's results besides
+    the running total, never growing with the ensemble size.  The helper
+    thread has ended when this function returns or raises.
     """
     _check_step_size(dn, cfg)
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
@@ -469,9 +482,11 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     ]
     maps = _gap_maps(dn, cfg, output_steps)
     layout = _layout(cfg, output_steps)
+    fill = len(chunks[0]) * layout.width  # normals in the largest fill
     # a call of one fill has nothing to draw ahead
-    ahead = _usable_cpus() > 1 and (len(chunks) > 1 or layout.width < layout.ends[-1])
-    buffers = [np.empty(len(chunks[0]) * layout.width) for _ in range(2 if ahead else 1)]
+    several = len(chunks) > 1 or layout.width < layout.ends[-1]
+    ahead = several and fill >= AHEAD_NORMALS and _usable_cpus() > 1
+    buffers = [np.empty(fill) for _ in range(2 if ahead else 1)]
     with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as pool:
         fills = _draws(
             cfg.seed, [(c.start // CHUNK_TRAJECTORIES, len(c)) for c in chunks],

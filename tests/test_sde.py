@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,28 +23,33 @@ def test_noise_stream_partition_invariance():
     # one draw of the chunk's stream whatever the fill width; the integrator's
     # reproducibility contract rests on this property.  A start and gaps of 4,
     # 4, 2, 4 and 2 normals per trajectory, for a chunk of 3 trajectories:
-    # each fill holds whole gaps
+    # each fill holds whole gaps.  Chunk 2's stream is SFC64 seeded by the
+    # third child of the seed's SeedSequence, for seeds up to 2**64 - 1
     from hybridosc import sde
 
     n, chunk, ends = 3, 2, np.array([4, 8, 12, 14, 18, 20])
-    want = np.random.Generator(np.random.Philox(key=42).jumped(chunk)).standard_normal(n * 20)
-    for width, want_fills in (
-        (4, [(0, 4), (4, 8), (8, 12), (12, 14), (14, 18), (18, 20)]),
-        (8, [(0, 8), (8, 14), (14, 20)]),
-        (10, [(0, 8), (8, 18), (18, 20)]),
-        (20, [(0, 20)]),
-    ):
-        noise = np.empty(n * width)
-        got, fills = [], []
-        for lo, hi, fill in sde._draws(42, [(chunk, n)], ends, width, [noise]):
-            fills.append((lo, hi))
-            got.append(fill.copy())
-        assert fills == want_fills
-        assert np.array_equal(np.concatenate(got), want)
+    for seed in (42, 0, 2**63 + 5, 2**64 - 1):
+        child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+        want = np.random.Generator(np.random.SFC64(child)).standard_normal(n * 20)
+        assert np.array_equal(_chunk_stream(seed, chunk).standard_normal(n * 20), want)
+        for width, want_fills in (
+            (4, [(0, 4), (4, 8), (8, 12), (12, 14), (14, 18), (18, 20)]),
+            (8, [(0, 8), (8, 14), (14, 20)]),
+            (10, [(0, 8), (8, 18), (18, 20)]),
+            (20, [(0, 20)]),
+        ):
+            noise = np.empty(n * width)
+            got, fills = [], []
+            for lo, hi, fill in sde._draws(seed, [(chunk, n)], ends, width, [noise]):
+                fills.append((lo, hi))
+                got.append(fill.copy())
+            assert fills == want_fills, seed
+            assert np.array_equal(np.concatenate(got), want), seed
 
 
 def _chunk_stream(seed, chunk=0):
-    return np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
+    stream = np.random.SeedSequence(seed % 2**64, spawn_key=(chunk,))
+    return np.random.Generator(np.random.SFC64(stream))
 
 
 def test_stream_contract_two_normals_per_step(monkeypatch):
@@ -86,12 +93,30 @@ def test_same_seed_same_statistics():
 _STATS_ARRAYS = ("times", "mean", "mean_stderr", "cov", "cov_stderr", "energy_mean", "energy_stderr")
 
 
+def _count_threads_at_merges(monkeypatch):
+    # the number of running threads each time a finished chunk is merged
+    import threading
+
+    from hybridosc import sde
+
+    seen, merge = [], sde._merge
+
+    def counting(*args):
+        seen.append(threading.active_count())
+        return merge(*args)
+
+    monkeypatch.setattr(sde, "_merge", counting)
+    return seen
+
+
 @pytest.mark.parametrize("block_steps", [None, 7], ids=["default", "7"])
 def test_thread_count_does_not_change_results(monkeypatch, block_steps):
-    # 2100 trajectories make three chunks, the last one partial.  With fills
-    # of 7 steps each chunk takes 15 fills, so the helper thread hands over
-    # fills drawn ahead within a chunk and from one chunk to the next; at
-    # most one helper thread runs during the call and none is left after it
+    # 2100 trajectories make three chunks, the last one partial.  Every-step
+    # fills of 200 normals per trajectory are drawn ahead; fills of 7 steps,
+    # 14 normals, are drawn ahead only with AHEAD_NORMALS lowered to 0, and
+    # then each chunk takes 15 fills, so the helper thread hands over fills
+    # drawn ahead within a chunk and from one chunk to the next.  At most one
+    # helper thread runs during the call and none is left after it
     import sys
     import threading
 
@@ -99,17 +124,12 @@ def test_thread_count_does_not_change_results(monkeypatch, block_steps):
 
     if block_steps is not None:
         monkeypatch.setattr(sde, "BLOCK_STEPS", block_steps)
+        monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
     params = SystemParams.natural_units(0.3)
     dn = assemble_drift_noise(params)
     cfg = SimConfig(dt=1e-2, t_final=1.0, n_trajectories=2100, seed=5)
-    before, seen = threading.active_count(), []
-    finite = sde._finite
-
-    def counting(*args):
-        seen.append(threading.active_count())
-        return finite(*args)
-
-    monkeypatch.setattr(sde, "_finite", counting)
+    before = threading.active_count()
+    seen = _count_threads_at_merges(monkeypatch)
     monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
     serial = simulate_ensemble(dn, cfg)
     assert set(seen) == {before}
@@ -125,6 +145,36 @@ def test_thread_count_does_not_change_results(monkeypatch, block_steps):
     assert threading.active_count() == before
     for name in _STATS_ARRAYS:
         assert np.array_equal(getattr(serial, name), getattr(threaded, name)), name
+
+
+def test_short_strided_call_draws_inline(monkeypatch):
+    # the shape of the stationary benchmark call: 5000 trajectories in five
+    # chunks, 4096 steps at stride 2048 from a stationary start, so a fill is
+    # the start and two gaps, 12 normals for each of 1024 trajectories, below
+    # AHEAD_NORMALS.  With two CPUs no helper thread starts, and the results
+    # equal those with every fill drawn ahead bit for bit
+    import threading
+
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(0.05))
+    cfg = SimConfig(
+        dt=5e-4, t_final=4096 * 5e-4, n_trajectories=5000, seed=3,
+        initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=2048,
+    )
+    assert 12 * sde.CHUNK_TRAJECTORIES < sde.AHEAD_NORMALS
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    seen = _count_threads_at_merges(monkeypatch)
+    inline = simulate_ensemble(dn, cfg)
+    assert seen == [before] * 4
+    seen.clear()
+    monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
+    ahead = simulate_ensemble(dn, cfg)
+    assert seen == [before + 1] * 4
+    assert threading.active_count() == before
+    for name in _STATS_ARRAYS:
+        assert np.array_equal(getattr(inline, name), getattr(ahead, name)), name
 
 
 def test_noise_block_length_does_not_change_results(monkeypatch):
@@ -166,13 +216,15 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     # leave the float range about 2390 outputs in, far past the first group,
     # and the trajectories go within a few outputs of each other, so the
     # report must take the first bad output, then its first bad trajectory,
-    # as the per-step loop on the same stream finds them.  With two CPUs the
-    # helper thread drawing ahead must have ended when the error is raised
+    # as the per-step loop on the same stream finds them.  With two CPUs and
+    # AHEAD_NORMALS lowered to 0 (a fill is 6 x 2048 normals) the helper
+    # thread drawing ahead must have ended when the error is raised
     import threading
 
     from hybridosc import sde
 
     monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
     runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
     cfg = SimConfig(
         dt=0.9, t_final=3000.0, n_trajectories=6, seed=7,
@@ -361,32 +413,71 @@ def test_stream_contract_four_normals_per_longer_gap():
     assert _close(path, np.array(want), 1e-14)
 
 
-def test_strided_ensemble_follows_discrete_em_covariance():
-    # a cold start at dt = 0.05, outputs every 50 steps: the ensemble follows
-    # the forward scheme's own covariance C <- A^T C A + amp^T amp (its dt
-    # bias kept), which at the end sits about 14 standard errors from the
-    # Lyapunov solution of the continuous process
-    params = SystemParams.natural_units(1.0)
-    dn = assemble_drift_noise(params)
-    dt, stride = 0.05, 50
-    cfg = SimConfig(
-        dt=dt, t_final=40.0, n_trajectories=4000, seed=17,
-        initial_state=np.array([1.0, 0.0, -0.5, 0.5]), output_stride=stride,
-    )
-    stats = simulate_ensemble(dn, cfg)
-    step_t = np.eye(4) - (dn.theta * dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2] * dt)
-    mean, cov = np.array(cfg.initial_state), np.zeros((4, 4))
-    means, covs = [mean], [cov]
-    for k in range(1, cfg.n_steps + 1):
-        mean, cov = mean @ step_t, step_t.T @ cov @ step_t + amp.T @ amp
-        if k % stride == 0:
+# False-alarm level of each Monte Carlo screen below: a correct sampler fails
+# one screen on one in a thousand seeds
+SCREEN_LEVEL = 1e-3
+
+
+def _chi2_sf(x, dof):
+    # upper tail of the chi-squared law with an even number of degrees of freedom
+    half = x / 2
+    return math.exp(-half) * sum(half**j / math.factorial(j) for j in range(dof // 2))
+
+
+def _mean_screen(stats, k, mean, cov):
+    # n d^T C^-1 d for d the sample mean at output k less its exact value:
+    # chi-squared with 4 degrees of freedom; returns its upper tail
+    delta = stats.mean[k] - mean
+    return _chi2_sf(stats.n_trajectories * delta @ np.linalg.solve(cov, delta), 4)
+
+
+def _cov_screen(stats, k, cov):
+    # (n - 1) d^T G^-1 d over the ten distinct entries d of the sample
+    # covariance at output k less the exact one, with G from Isserlis'
+    # theorem, G_(ij),(kl) = C_ik C_jl + C_il C_jk: chi-squared with 10
+    # degrees of freedom for Gaussian states (Anderson, An Introduction to
+    # Multivariate Statistical Analysis, ch. 7); returns its upper tail
+    i, j = np.triu_indices(4)
+    delta = stats.cov[k][i, j] - cov[i, j]
+    gamma = cov[np.ix_(i, i)] * cov[np.ix_(j, j)] + cov[np.ix_(i, j)] * cov[np.ix_(j, i)]
+    return _chi2_sf((stats.n_trajectories - 1) * delta @ np.linalg.solve(gamma, delta), 10)
+
+
+def _em_moments(dn, cfg, mean, cov):
+    # the forward scheme's own mean and covariance at each output, step by
+    # step from (mean, cov): m <- m A, C <- A^T C A + amp^T amp, dt bias kept
+    from hybridosc import sde
+
+    step_t = np.eye(4) - (dn.theta * cfg.dt).T
+    amp = np.sqrt(dn.diffusion_matrix[1::2] * cfg.dt)
+    outputs = set(sde._output_steps(cfg.n_steps, cfg.resolved_stride()).tolist())
+    means, covs = [], []
+    for k in range(cfg.n_steps + 1):
+        if k:
+            mean, cov = mean @ step_t, step_t.T @ cov @ step_t + amp.T @ amp
+        if k in outputs:
             means.append(mean)
             covs.append(cov)
+    return np.array(means), np.array(covs)
+
+
+def test_strided_ensemble_follows_discrete_em_covariance():
+    # a cold start at dt = 0.05, outputs every 50 steps: the ensemble follows
+    # the forward scheme's own moments (its dt bias kept), whose covariance at
+    # the end sits about 14 standard errors from the Lyapunov solution of the
+    # continuous process
+    params = SystemParams.natural_units(1.0)
+    dn = assemble_drift_noise(params)
+    cfg = SimConfig(
+        dt=0.05, t_final=40.0, n_trajectories=4000, seed=17,
+        initial_state=np.array([1.0, 0.0, -0.5, 0.5]), output_stride=50,
+    )
+    stats = simulate_ensemble(dn, cfg)
+    means, covs = _em_moments(dn, cfg, np.array(cfg.initial_state), np.zeros((4, 4)))
     assert len(covs) == len(stats.times) == 17
     for k in (1, -1):
-        assert np.max(np.abs(stats.mean[k] - means[k]) / (3.0 * stats.mean_stderr[k])) < 1.0
-        assert np.max(np.abs(stats.cov[k] - covs[k]) / (3.0 * stats.cov_stderr[k])) < 1.0
+        assert _mean_screen(stats, k, means[k], covs[k]) > SCREEN_LEVEL
+        assert _cov_screen(stats, k, covs[k]) > SCREEN_LEVEL
     lyapunov = solve_lyapunov(dn)
     assert np.max(np.abs(stats.cov[-1] - lyapunov) / stats.cov_stderr[-1]) > 10.0
 
@@ -488,7 +579,17 @@ def test_deterministic_conservative_energy_constant():
     assert abs(energies[-1] - energies[0]) <= bound
 
 
+def _dt_excess(dn, dt):
+    # the forward scheme's stationary variance excess, about rho / (1 - rho)
+    # relative with rho = max over modes mu of |mu|^2 dt / (2 Re mu)
+    mu = np.linalg.eigvals(dn.theta)
+    rho = float(np.max(np.abs(mu) ** 2 * dt / (2 * mu.real)))
+    return rho / (1 - rho)
+
+
 def test_stationary_ensemble_matches_lyapunov():
+    # from the Lyapunov solution the ensemble follows the forward scheme's own
+    # covariance, which moves off it only by the dt bias
     params = SystemParams.natural_units(1.0)
     dn = assemble_drift_noise(params)
     cov = solve_lyapunov(dn)
@@ -497,8 +598,9 @@ def test_stationary_ensemble_matches_lyapunov():
         initial_mean=np.zeros(4), initial_cov=cov,
     )
     stats = simulate_ensemble(dn, cfg)
-    dev = np.abs(stats.cov[-1] - cov)
-    assert np.max(dev / (3.0 * stats.cov_stderr[-1])) < 1.0
+    _, covs = _em_moments(dn, cfg, np.zeros(4), cov)
+    assert _close(covs[-1], cov, _dt_excess(dn, cfg.dt))
+    assert _cov_screen(stats, -1, covs[-1]) > SCREEN_LEVEL
 
 
 def test_cold_start_relaxes_to_lyapunov():
@@ -509,11 +611,17 @@ def test_cold_start_relaxes_to_lyapunov():
     min_rate = float(np.min(np.linalg.eigvals(dn.theta).real))
     cfg = SimConfig(dt=5e-3, t_final=15.0 / min_rate, n_trajectories=6000, seed=9)
     stats = simulate_ensemble(dn, cfg)
-    dev = np.abs(stats.cov[-1] - cov)
-    assert np.max(dev / (3.0 * stats.cov_stderr[-1])) < 1.0
-    drift = energy_drift(params, stats.cov[-1])
-    band = 3.0 * (params.osc1.damping / params.osc1.mass**2) * stats.cov_stderr[-1][1, 1]
-    assert abs(drift) <= band
+    # the scheme's own covariance at the end is within its dt bias of Lyapunov,
+    # where the energy drift vanishes; the ensemble is screened against it
+    _, covs = _em_moments(dn, cfg, np.zeros(4), np.zeros((4, 4)))
+    assert _close(covs[-1], cov, _dt_excess(dn, cfg.dt))
+    assert abs(energy_drift(params, cov)) < 1e-12
+    assert _cov_screen(stats, -1, covs[-1]) > SCREEN_LEVEL
+    # the drift is linear in Var(p1), whose sample value has variance 2 Var(p1)^2 / (n - 1)
+    drift = energy_drift(params, stats.cov[-1]) - energy_drift(params, covs[-1])
+    rate = params.osc1.damping / params.osc1.mass**2
+    se = rate * covs[-1][1, 1] * math.sqrt(2 / (cfg.n_trajectories - 1))
+    assert math.erfc(abs(drift / se) / math.sqrt(2)) > SCREEN_LEVEL
 
 
 def test_energy_drift_formula():
@@ -553,6 +661,22 @@ def test_overflow_detected():
     with pytest.warns(UserWarning, match="discretisation bias"):
         with pytest.raises(NumericalOverflow, match="near t = 2"):
             sample_trajectory(runaway, cfg, 0)
+
+
+def test_sums_that_overflow_from_finite_states_raise_nothing():
+    # free particles at rest at q1 = 1e308, q2 = -1e308: every state stays
+    # finite, while the sum over the two trajectories of each output
+    # overflows.  Only a state outside the float range is an overflow
+    dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+    cfg = SimConfig(
+        dt=1e-2, t_final=0.2, n_trajectories=2, seed=0,
+        initial_state=np.array([1e308, 0.0, -1e308, 0.0]), output_stride=1,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = simulate_ensemble(dn, cfg)
+    assert np.all(stats.mean[:, 0] == np.inf) and np.all(stats.mean[:, 2] == -np.inf)
+    _, path = sample_trajectory(dn, cfg, 1)
+    assert np.all(path == cfg.initial_state)
 
 
 def test_overflowing_gap_map_is_reported_at_its_output():
