@@ -14,7 +14,6 @@ when it runs, so a start loads no others.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -159,9 +158,12 @@ def _cmd_simulate(args, config) -> int:
         **kwargs,
     )
     stats = sde.simulate_ensemble(dn, cfg)
-    buf = io.StringIO()
-    stats.write_csv(buf)
-    _emit(buf.getvalue(), args.output)
+    # streamed a block of rows at a time: a failed write leaves a partial file
+    if args.output is None:
+        stats.write_csv(sys.stdout)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            stats.write_csv(fh)
     return EXIT_OK
 
 

@@ -72,11 +72,18 @@ from .steadystate import validate_covariance
 
 # trajectories per chunk, each with one noise stream: part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
-# steps of an every-step run drawn at once (2 * BLOCK_STEPS normals per trajectory):
-# bounds memory only, results do not depend on it
-BLOCK_STEPS = 1024
+# steps of an every-step run drawn at once, 2 * BLOCK_STEPS normals per trajectory: a fill of
+# 1024 trajectories is 2 MiB, the size of an L2 cache.  Bounds memory only, results do not
+# depend on it.  The every-step CLI run of 2048 x 8000 peaks at 43.5, 44.1, 46.1, 50.0, 58.0
+# and 74.0 MiB at 32, 64, 128, 256, 512 and 1024 steps, while its simulate_ensemble call takes
+# 0.57-0.61 s at each (2 CPUs; BENCH_em_memory.json).  A fill of fewer than 128 trajectories
+# holds fewer than AHEAD_NORMALS normals and is drawn inline
+BLOCK_STEPS = 128
 # outputs reduced at once: bounds memory only, results do not depend on it
 GROUP_OUTPUTS = 16
+# CSV rows formatted and written at once (about 2 MB of Python floats and text at 1024):
+# bounds memory only, the bytes do not depend on it
+CSV_ROWS = 1024
 # fills of fewer normals are drawn inline: handing one to a helper thread costs more than
 # it saves (2 CPUs: 12,288 normals 16% slower than inline, 36,864 8% faster, 135,168 28%
 # faster; BENCH_em_sfc64.json).  Speed only: results do not depend on it
@@ -177,14 +184,18 @@ class EnsembleStats:
         return cols
 
     def write_csv(self, stream) -> None:
+        """Write the header, then one row per output time, ``CSV_ROWS`` rows at a time."""
         _, i, j = zip(*self._CSV_MOMENTS)
-        table = np.column_stack([
-            self.times, self.mean, self.cov[:, i, j], self.energy_mean,
-            self.mean_stderr, self.cov_stderr[:, i, j], self.energy_stderr,
-        ])
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # as f"{v:.17g}", in one format call
-        stream.write(",".join(self.csv_header()) + "\n")
-        stream.write((row * len(table)) % tuple(table.ravel().tolist()))
+        header = self.csv_header()
+        row = ",".join(["%.17g"] * len(header)) + "\n"  # as f"{v:.17g}", in one format call
+        stream.write(",".join(header) + "\n")
+        for lo in range(0, len(self.times), CSV_ROWS):
+            out = slice(lo, lo + CSV_ROWS)
+            table = np.column_stack([
+                self.times[out], self.mean[out], self.cov[out, i, j], self.energy_mean[out],
+                self.mean_stderr[out], self.cov_stderr[out, i, j], self.energy_stderr[out],
+            ])
+            stream.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _energy(states: np.ndarray, weight: np.ndarray, work=None, out=None) -> np.ndarray:
@@ -412,7 +423,8 @@ def _run_chunk(
 
     A non-finite state makes its output's sum non-finite, so only a group
     with a non-finite sum is searched (:func:`_finite`) for the first bad
-    output and trajectory; sums that overflow from finite states raise nothing."""
+    output and trajectory; sums that overflow from finite states are left to
+    the caller."""
     n, n_out = len(indices), len(output_steps)
     times = output_steps * cfg.dt
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
@@ -438,19 +450,37 @@ def _run_chunk(
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    """Chan's pairwise update of two chunks' moments, at every output step at once."""
+    """Chan's pairwise update of two chunks' moments, at every output step at once.
+
+    The sums are taken in place into ``a``'s arrays, with ``b``'s as scratch,
+    by the same operations in the same order as the plain expressions
+    mean_a + delta (n_b / total) and m2_a + m2_b + delta delta^T (n_a n_b / total)."""
     n_a, mean_a, m2_a, e_mean_a, e_m2_a = a
     n_b, mean_b, m2_b, e_mean_b, e_m2_b = b
     total = n_a + n_b
-    delta = mean_b - mean_a
-    e_delta = e_mean_b - e_mean_a
-    return (
-        total,
-        mean_a + delta * (n_b / total),
-        m2_a + m2_b + delta[:, :, None] * delta[:, None, :] * (n_a * n_b / total),
-        e_mean_a + e_delta * (n_b / total),
-        e_m2_a + e_m2_b + e_delta**2 * (n_a * n_b / total),
-    )
+    delta = np.subtract(mean_b, mean_a, out=mean_b)
+    e_delta = np.subtract(e_mean_b, e_mean_a, out=e_mean_b)
+    m2_a += m2_b
+    spread = np.multiply(delta[:, :, None], delta[:, None, :], out=m2_b)
+    spread *= n_a * n_b / total
+    m2_a += spread
+    e_m2_a += e_m2_b
+    e_spread = np.square(e_delta, out=e_m2_b)
+    e_spread *= n_a * n_b / total
+    e_m2_a += e_spread
+    delta *= n_b / total
+    mean_a += delta
+    e_delta *= n_b / total
+    e_mean_a += e_delta
+    return total, mean_a, m2_a, e_mean_a, e_m2_a
+
+
+def _finite_moments(times: np.ndarray, moments: tuple) -> None:
+    """Name the first output time at which one of ``moments`` (arrays over the outputs) is not finite."""
+    bad = [~np.isfinite(a).reshape(len(times), -1).all(axis=1) for a in moments if not np.isfinite(a).all()]
+    if bad:
+        k = np.argmax(np.logical_or.reduce(bad))
+        raise NumericalOverflow(f"ensemble moments overflowed near t = {times[k]:.6g}")
 
 
 def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
@@ -470,8 +500,15 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     would contend for it, so the design uses at most two threads and does
     not scale to more cores.  The results are bitwise identical either way,
     and memory is at most two fill buffers and one chunk's results besides
-    the running total, never growing with the ensemble size.  The helper
-    thread has ended when this function returns or raises.
+    the running total, never growing with the ensemble size; the merge and
+    the final spreads are computed in place.  The helper thread has ended
+    when this function returns or raises.
+
+    Raises :class:`NumericalOverflow` naming the trajectory and output time
+    where a state first leaves the float range, or, where every state is
+    finite, the first output time at which a moment (a sum, centred product
+    or energy moment, merged or final) does; a one-trajectory ensemble's NaN
+    spreads are not an overflow.
     """
     _check_step_size(dn, cfg)
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
@@ -487,24 +524,32 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     several = len(chunks) > 1 or layout.width < layout.ends[-1]
     ahead = several and fill >= AHEAD_NORMALS and _usable_cpus() > 1
     buffers = [np.empty(fill) for _ in range(2 if ahead else 1)]
-    with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as pool:
-        fills = _draws(
-            cfg.seed, [(c.start // CHUNK_TRAJECTORIES, len(c)) for c in chunks],
-            layout.ends, layout.width, buffers, pool,
-        )
-        run = functools.partial(_run_chunk, cfg, output_steps, maps, weight, layout, fills)
-        n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, map(run, chunks))
+    # a sum of finite states can leave the float range: that is checked once, at the end
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as pool:
+            fills = _draws(
+                cfg.seed, [(c.start // CHUNK_TRAJECTORIES, len(c)) for c in chunks],
+                layout.ends, layout.width, buffers, pool,
+            )
+            run = functools.partial(_run_chunk, cfg, output_steps, maps, weight, layout, fills)
+            n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, map(run, chunks))
 
-    # a one-trajectory ensemble has m2 == 0 exactly: 0/0 leaves NaN spreads
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cov = m2 / (n - 1)
+        # in place, as m2 / (n - 1) and sqrt((C_ii C_jj + C_ij^2) / (n - 1)); a one-trajectory
+        # ensemble has m2 == 0 exactly: 0/0 leaves NaN spreads
+        cov = np.divide(m2, n - 1, out=m2)
         diag = np.einsum("kii->ki", cov)
-        cov_stderr = np.sqrt((diag[:, :, None] * diag[:, None, :] + cov**2) / (n - 1))
+        cov_stderr = np.multiply(diag[:, :, None], diag[:, None, :])
+        cov_stderr += cov**2
+        cov_stderr /= n - 1
+        np.sqrt(cov_stderr, out=cov_stderr)
         mean_stderr = np.sqrt(np.clip(diag, 0.0, None) / n)
         energy_stderr = np.sqrt(np.clip(e_m2 / (n - 1), 0.0, None) / n)
 
+    times = output_steps * cfg.dt
+    spreads = (cov, cov_stderr, mean_stderr, energy_stderr) if n > 1 else ()
+    _finite_moments(times, (mean, e_mean, *spreads))
     return EnsembleStats(
-        times=output_steps * cfg.dt, mean=mean, mean_stderr=mean_stderr, cov=cov,
+        times=times, mean=mean, mean_stderr=mean_stderr, cov=cov,
         cov_stderr=cov_stderr, energy_mean=e_mean, energy_stderr=energy_stderr, n_trajectories=n,
     )
 

@@ -347,6 +347,38 @@ def test_numerical_refusal_names_its_cause(key, cause, capsys):
     assert capsys.readouterr().err.startswith(f"numerical failure: {cause}")
 
 
+def test_moments_that_leave_the_float_range_exit_3_without_a_csv(tmp_path, capsys, recwarn):
+    # every state finite, the sums over trajectories of q1 = 1e308 are not
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"initial": {"state": [1e308, 0, -1e308, 0]}}))
+    out = tmp_path / "s.csv"
+    code = run_cli([
+        "--config", str(config), "-o", str(out), "simulate", "--lambda", "0.5", "--dt", "0.01",
+        "--t-final", "0.02", "--n-trajectories", "2", "--output-stride", "1",
+    ])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: NumericalOverflow: ensemble moments overflowed near t = 0\n"
+    assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_simulate_stdout_matches_output_file(tmp_path, capsys, monkeypatch):
+    # the CSV is streamed a block of rows at a time, to the file or to stdout;
+    # 101 rows in blocks of 7 end in a partial block
+    from hybridosc import sde
+
+    monkeypatch.setattr(sde, "CSV_ROWS", 7)
+    args = ["simulate", "--lambda", "0.3", "--dt", "0.01", "--t-final", "1.0",
+            "--n-trajectories", "8", "--seed", "3", "--output-stride", "1"]
+    out = tmp_path / "s.csv"
+    assert run_cli(["-o", str(out), *args]) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(args) == EXIT_OK
+    written = out.read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == written
+    assert written.count(b"\n") == 102
+
+
 @pytest.mark.parametrize(
     "initial",
     [

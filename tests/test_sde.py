@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,8 +218,8 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     # and the trajectories go within a few outputs of each other, so the
     # report must take the first bad output, then its first bad trajectory,
     # as the per-step loop on the same stream finds them.  With two CPUs and
-    # AHEAD_NORMALS lowered to 0 (a fill is 6 x 2048 normals) the helper
-    # thread drawing ahead must have ended when the error is raised
+    # AHEAD_NORMALS lowered to 0 (a fill is 6 x 2 BLOCK_STEPS normals) the
+    # helper thread drawing ahead must have ended when the error is raised
     import threading
 
     from hybridosc import sde
@@ -663,20 +664,39 @@ def test_overflow_detected():
             sample_trajectory(runaway, cfg, 0)
 
 
-def test_sums_that_overflow_from_finite_states_raise_nothing():
+def test_sums_that_overflow_from_finite_states_raise():
     # free particles at rest at q1 = 1e308, q2 = -1e308: every state stays
     # finite, while the sum over the two trajectories of each output
-    # overflows.  Only a state outside the float range is an overflow
+    # overflows, so the ensemble's moments leave the float range from t = 0.
+    # That is an overflow, reported at its first output with no
+    # RuntimeWarning; the single path stays finite and is returned
     dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
     cfg = SimConfig(
         dt=1e-2, t_final=0.2, n_trajectories=2, seed=0,
         initial_state=np.array([1e308, 0.0, -1e308, 0.0]), output_stride=1,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = simulate_ensemble(dn, cfg)
-    assert np.all(stats.mean[:, 0] == np.inf) and np.all(stats.mean[:, 2] == -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match="^ensemble moments overflowed near t = 0$"):
+            simulate_ensemble(dn, cfg)
     _, path = sample_trajectory(dn, cfg, 1)
     assert np.all(path == cfg.initial_state)
+
+
+def test_moments_that_overflow_late_name_their_first_output():
+    # two identical free particles whose q1 moves from 6e307 by 1e307 per
+    # step (p1 = 1e154, dt = 1e153; the energy p1^2 / 2 stays finite): the
+    # states stay finite to the end, while the sum of the two q1 leaves the
+    # float range at the third step
+    dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+    cfg = SimConfig(
+        dt=1e153, t_final=1e154, n_trajectories=2, seed=0,
+        initial_state=np.array([6e307, 1e154, 0.0, 0.0]), output_stride=1,
+    )
+    with pytest.raises(NumericalOverflow, match="^ensemble moments overflowed near t = 3e[+]153$"):
+        simulate_ensemble(dn, cfg)
+    _, path = sample_trajectory(dn, cfg, 0)
+    assert np.isfinite(path).all()
 
 
 def test_overflowing_gap_map_is_reported_at_its_output():
@@ -797,6 +817,80 @@ def test_csv_values_are_written_as_17_significant_digits():
     stats.write_csv(buf)
     assert buf.getvalue() == want
     assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= set(want.replace("\n", ",").split(","))
+
+
+def _random_stats(n_out, seed=1):
+    from hybridosc import sde
+
+    values = np.random.default_rng(seed).standard_normal((n_out, 42))
+    return sde.EnsembleStats(
+        times=values[:, 0], mean=values[:, 1:5], mean_stderr=values[:, 5:9],
+        cov=values[:, 10:26].reshape(n_out, 4, 4), cov_stderr=values[:, 26:42].reshape(n_out, 4, 4),
+        energy_mean=values[:, 9], energy_stderr=values[:, 41], n_trajectories=5,
+    )
+
+
+def test_csv_bytes_do_not_depend_on_rows_per_block(monkeypatch):
+    # the rows are written CSV_ROWS at a time; 2 blocks and 5 rows of the
+    # default size, in blocks of 1 and 7 as well, must give the same bytes
+    import io
+
+    from hybridosc import sde
+
+    default = sde.CSV_ROWS
+    stats = _random_stats(2 * default + 5)
+    written = []
+    for rows in (default, 1, 7):
+        monkeypatch.setattr(sde, "CSV_ROWS", rows)
+        buf = io.StringIO()
+        stats.write_csv(buf)
+        written.append(buf.getvalue())
+    assert written[0].count("\n") == 2 * default + 6
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_csv_memory_does_not_grow_with_the_rows():
+    # one block of rows is formatted at a time, about 2 MB at CSV_ROWS =
+    # 1024: 6149 rows peak below 4 MB (13 MB when the whole table was
+    # formatted at once, 107 MB at 50k rows)
+    import os
+    import tracemalloc
+
+    from hybridosc import sde
+
+    stats = _random_stats(6 * sde.CSV_ROWS + 5)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            stats.write_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_every_step_ensemble_memory_is_bounded(monkeypatch):
+    # 2048 x 8000 every-step from rest with the next fill drawn ahead: two
+    # fills of 2 MiB, each chunk's moments (1.4 MB) and the running total,
+    # and the output group; the traced peak is about 9.5 MB (about 39 MB
+    # with fills of 1024 steps and out-of-place moment arithmetic)
+    import tracemalloc
+
+    from hybridosc import sde
+
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    dn = assemble_drift_noise(SystemParams.natural_units(0.05))
+    cfg = SimConfig(
+        dt=5e-4, t_final=4.0, n_trajectories=2048, seed=4, initial_state=np.zeros(4), output_stride=1,
+    )
+    tracemalloc.start()
+    try:
+        stats = simulate_ensemble(dn, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stats.times) == 8001
+    assert peak < 16e6
 
 
 def test_sample_trajectory_matches_member_of_multi_trajectory_chunk(monkeypatch):
