@@ -20,7 +20,7 @@ _EXPORTS = {
     "cq": (
         "CQParams", "HybridCorrelators", "Occupation", "ThermalReport", "gibbs_covariances",
         "hybrid_correlators", "hybrid_equal_time", "map_to_classical",
-        "occupation_from_keldysh", "occupation_number", "thermal_limit",
+        "occupation_exact", "occupation_from_keldysh", "occupation_number", "thermal_limit",
     ),
     "errors": (
         "ClassificationFailure", "CouplingZero", "DegeneratePoles", "HybridOscError",

@@ -232,7 +232,7 @@ def _cmd_cq(args, config) -> int:
             {
                 "T_C": occ.temperature,
                 "N": occ.n,
-                "N_keldysh_route": cq.occupation_from_keldysh(hybrid),
+                "N_exact": cq._occupation(report.equal_time),
                 "equal_time": report.equal_time,
                 "gibbs_deviation": report.max_deviation_gibbs,
             }

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OverdampedUnsupported, TradeoffViolation
+from .errors import TradeoffViolation
 from .model import OscillatorParams, SystemParams, energy_weight_matrix
 from .steadystate import closed_form_covariances
 
@@ -64,16 +64,8 @@ class CQParams:
         return 1.0 / (4.0 * self.diffusion)
 
     @property
-    def classical_frequency(self) -> float:
-        return math.sqrt(self.classical_spring / self.classical_mass)
-
-    @property
     def quantum_frequency(self) -> float:
         return math.sqrt(self.quantum_spring / self.quantum_mass)
-
-    @property
-    def damping_rate(self) -> float:
-        return self.damping / self.classical_mass
 
     @property
     def effective_temperature(self) -> float:
@@ -134,7 +126,7 @@ def occupation_number(cq: CQParams) -> Occupation:
     N ~ T_C/omega (thermalisation to the classical temperature).  This
     published formula is the leading order of the mapped dynamics at
     D0 = 1/D, four times the saturated rate of this module; at D0 = 1/(4 D)
-    the dynamics give :func:`occupation_from_keldysh`, whose floor is 0.
+    the dynamics give :func:`occupation_exact`.
     """
     w = cq.quantum_frequency
     if w == 0.0:
@@ -149,26 +141,28 @@ def occupation_number(cq: CQParams) -> Occupation:
 
 
 def occupation_from_keldysh(cq: CQParams) -> float:
-    """Excitation number read off the equal-time statistical propagator.
+    """N = m_Q omega_Q <<Q+ Q+>>(0) - 1/2 from the ``keldysh`` of :func:`hybrid_correlators`.
 
-    Uses N = m_Q omega_Q <<Q+ Q+>>(0) - 1/2 with the leading-order value of
-    :func:`hybrid_correlators`.  This is the number the mapped dynamics
-    produces at the saturated D0 = 1/(4 D); :func:`occupation_number` is the
-    same order at D0 = 1/D, which quadruples the decoherence term
-    omega/(2 T_C).  Its minimum is 0 at T_C = omega/4.
+    The leading order of :func:`occupation_exact`, for any pair; with identical
+    oscillators its minimum is 0 at T_C = omega/4.  :func:`occupation_number` is
+    the same order at D0 = 1/D, which quadruples the decoherence term omega/(2 T_C).
     """
-    g1 = cq.damping_rate
-    m = cq.quantum_mass
-    w = cq.quantum_frequency
-    d = cq.diffusion
-    if g1 <= 0 or w <= 0 or d <= 0:
-        raise ValueError("requires damping, diffusion and a confining quantum spring")
-    return float(m * w * _keldysh_amplitude(g1, d, w, m) - 0.5)
+    keldysh = hybrid_correlators(cq, np.zeros(1)).keldysh[0]
+    return float(cq.quantum_mass * cq.quantum_frequency * keldysh - 0.5)
 
 
-def _keldysh_amplitude(g1: float, d: float, w: float, m: float) -> float:
-    """The equal-time <<Q+ Q+>> of :func:`hybrid_correlators`."""
-    return g1 / (8.0 * d) + d / (2.0 * g1 * w**2 * m**2)
+def occupation_exact(cq: CQParams) -> float:
+    """Exact excitation number nu - 1/2 (hbar = 1; CouplingZero at lam = 0).
+
+    nu = sqrt(<<QQ>> <<PP>>) is the symplectic eigenvalue of the (Q, P) block of
+    :func:`hybrid_equal_time` (Williamson 1936); <<QP>> is 0 in the closed form.
+    """
+    return _occupation(hybrid_equal_time(cq))
+
+
+def _occupation(equal_time: dict) -> float:
+    """nu - 1/2 of :func:`occupation_exact` from moments of :func:`hybrid_equal_time`."""
+    return math.sqrt(equal_time["QQ"] * equal_time["PP"]) - 0.5
 
 
 @dataclass(frozen=True)
@@ -189,59 +183,38 @@ class HybridCorrelators:
 
 
 def hybrid_correlators(cq: CQParams, t_grid: np.ndarray) -> HybridCorrelators:
-    """Printed leading-order correlators for identical oscillators.
+    """The small-coupling table of :func:`map_to_classical`'s pair, relabelled.
 
-    With m* = m_C = m_Q, omega* the common frequency, s = sqrt(omega*^2 -
-    gamma1^2/4) and T_C-independent prefactors:
+    For any pair, :func:`hybridosc.spectral.correlators_small_lambda` gives
+    ``classical`` = g11, ``classical_response`` = response_11, ``retarded`` =
+    -i response_22 and ``keldysh`` = g22 + D/(2 g1 m_C m_Q w_Q^2) cos(w_Q t).
+    For identical oscillators (m = m_C = m_Q, common omega, s = sqrt(omega^2 -
+    gamma1^2/4)) these are the paper's leading order:
 
         <<q(0)q(t)>>   = D/(2 g1 w^2 m^2) e^{-g1|t|/2} (cos s|t| + g1/(2s) sin s|t|)
         <<Q+(0)Q+(t)>> = (g1/(8D) + D/(2 g1 w^2 m^2)) cos(w|t|)
         <<q(0)q~(t)>>  = (1/m) e^{g1 t/2} sin(s t)/s * theta(-t)
         <<Q+(0)Q-(t)>> = -(i/(m w)) sin(w t) * theta(-t)
 
-    Every entry is finite and coupling-independent at this order: the
-    trade-off makes the induced decoherence scale as lam^2, cancelling the
-    lam^-2 growth the classical analogue would show.  Requires (near-)
-    identical oscillator parameters.  In general only the exact routes on
-    :func:`map_to_classical` apply: the small-coupling g22 of
-    :mod:`hybridosc.spectral` omits D1/(2 g1 m1 m2 w2^2), which dominates
-    where D2 = lam^2/(4D).
+    with ``classical`` also carrying the table's O(lam^2) lam^2/(8 D g1 m^2 w^2) cos(w t).
+    The induced decoherence scales as lam^2, cancelling the lam^-2 growth of the
+    classical analogue, so the entries stay finite as lam -> 0; the table's
+    refusals apply, CouplingZero where lam^2 = 0 among them.
     """
-    if not (
-        np.isclose(cq.classical_mass, cq.quantum_mass, rtol=1e-6)
-        and np.isclose(cq.classical_frequency, cq.quantum_frequency, rtol=1e-6)
-    ):
-        raise ValueError(
-            "printed hybrid correlators assume identical oscillators; use "
-            "map_to_classical + the exact spectral routes for general parameters"
-        )
-    m = cq.classical_mass
-    w = cq.classical_frequency
-    g1 = cq.damping_rate
-    d = cq.diffusion
-    if g1 <= 0 or d <= 0:
-        raise ValueError("requires damping and diffusion on the classical oscillator")
-    if w <= g1 / 2:
-        raise OverdampedUnsupported("printed hybrid correlators require the underdamped regime")
-    s = math.sqrt(w**2 - g1**2 / 4)
+    from . import spectral  # here, not at the top: `hybrid-osc cq` loads no spectral
 
-    t = np.asarray(t_grid, dtype=float)
-    at = np.abs(t)
-    classical = (
-        d / (2 * g1 * w**2 * m**2)
-        * np.exp(-g1 * at / 2)
-        * (np.cos(s * at) + g1 / (2 * s) * np.sin(s * at))
-    )
-    keldysh = _keldysh_amplitude(g1, d, w, m) * np.cos(w * at)
-    support = t < 0
-    classical_response = np.where(support, (1 / m) * np.exp(g1 * t / 2) * np.sin(s * t) / s, 0.0)
-    retarded = np.where(support, -1j / (m * w) * np.sin(w * t), 0.0 + 0.0j)
+    pair = map_to_classical(cq)
+    table = spectral.correlators_small_lambda(pair, t_grid)
+    o1, o2 = pair.osc1, pair.osc2
+    # the D1 part of E[Q+^2], O(lam^2) relative to g22 at fixed D2 and so left out of the
+    # table, leads at the mapped D2 = lam^2/(4 D)
+    d1_term = o1.diffusion / (2 * o1.damping_rate * o1.mass * o2.mass * o2.frequency**2)
     return HybridCorrelators(
-        times=t,
-        classical=classical,
-        keldysh=keldysh,
-        classical_response=classical_response,
-        retarded=retarded,
+        times=table.times,
+        classical=table.g11,
+        keldysh=table.g22 + d1_term * np.cos(o2.frequency * table.times),
+        classical_response=table.response_11,
+        retarded=-1j * table.response_22,
     )
 
 

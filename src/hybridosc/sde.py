@@ -44,7 +44,7 @@ start, then per gap in output order an (n, 2) block for a one-step gap,
 (eta1, eta2) for (p1, p2), or an (n, 4) block for a longer one; row j
 belongs to the chunk's trajectory j.  So the output steps and
 ``CHUNK_TRAJECTORIES`` fix the samples and the rounding (the rows stepped
-together and the merge order); ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound
+together and the merge order); ``FILL_NORMALS`` and ``GROUP_OUTPUTS`` bound
 memory only.  One thread steps the chunks in order, and each chunk's moments,
 arrays over all output steps, are merged into the running total with Chan's
 pairwise update as it finishes.  Where a second CPU is usable and a fill
@@ -72,13 +72,12 @@ from .steadystate import validate_covariance
 
 # trajectories per chunk, each with one noise stream: part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
-# steps of an every-step run drawn at once, 2 * BLOCK_STEPS normals per trajectory: a fill of
-# 1024 trajectories is 2 MiB, the size of an L2 cache.  Bounds memory only, results do not
-# depend on it.  The every-step CLI run of 2048 x 8000 peaks at 43.5, 44.1, 46.1, 50.0, 58.0
-# and 74.0 MiB at 32, 64, 128, 256, 512 and 1024 steps, while its simulate_ensemble call takes
-# 0.57-0.61 s at each (2 CPUs; BENCH_em_memory.json).  A fill of fewer than 128 trajectories
-# holds fewer than AHEAD_NORMALS normals and is drawn inline
-BLOCK_STEPS = 128
+# normals of a chunk drawn at once, 2 MiB, the size of an L2 cache: 128 every-step steps of a
+# full chunk, more of a smaller one.  Bounds memory only, results do not depend on it.  The
+# every-step CLI run of 2048 x 8000 peaks at 43.5, 44.1, 46.1, 50.0, 58.0 and 74.0 MiB at 32,
+# 64, 128, 256, 512 and 1024 steps per fill, while its simulate_ensemble call takes
+# 0.57-0.61 s at each (2 CPUs; BENCH_em_memory.json)
+FILL_NORMALS = 1 << 18
 # outputs reduced at once: bounds memory only, results do not depend on it
 GROUP_OUTPUTS = 16
 # CSV rows formatted and written at once (about 2 MB of Python floats and text at 1024):
@@ -312,8 +311,9 @@ class _Layout(NamedTuple):
 def _layout(cfg: SimConfig, output_steps: np.ndarray) -> _Layout:
     gaps = np.diff(output_steps)
     ends = (4 if cfg.initial_mean is not None else 0) + np.cumsum(np.where(gaps == 1, 2, 4))
-    # room for the start and one gap, never more than a trajectory uses
-    width = int(min(max(2 * BLOCK_STEPS, 8), ends[-1]))
+    # FILL_NORMALS over the first (largest) chunk's rows, room for the start and one gap
+    # at least, never more than a trajectory uses
+    width = int(min(max(FILL_NORMALS // min(cfg.n_trajectories, CHUNK_TRAJECTORIES), 8), ends[-1]))
     start = None if cfg.initial_mean is None else _gaussian_factor(cfg.initial_cov)
     return _Layout(gaps.tolist(), ends.tolist(), width, start)
 
@@ -373,7 +373,7 @@ def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict,
     noise lies in the current fill and that fit in the group's free slots gets its noise terms
     from one product into those slots, then each slot adds A^L times the previous state in
     turn.  Addition commutes, so every state is z A^L + zeta F_L bit for bit, and
-    ``BLOCK_STEPS`` and ``GROUP_OUTPUTS`` bound memory only.  Rows that overflow are left to
+    ``FILL_NORMALS`` and ``GROUP_OUTPUTS`` bound memory only.  Rows that overflow are left to
     the caller."""
     gaps, ends, width, start = _layout(cfg, output_steps) if layout is None else layout
     n = len(indices)

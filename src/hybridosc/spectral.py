@@ -306,6 +306,20 @@ def find_poles(params: SystemParams) -> PoleSet:
     )
 
 
+def _small_coupling(params: SystemParams, what: str):
+    """(g1, w1^2, w2^2, w2, s1, R) of the small-coupling forms named ``what``, behind their
+    one gate: NotStable for g1 = 0 or w2 = 0, then OverdampedUnsupported for w1 <= g1/2."""
+    o1, o2 = params.osc1, params.osc2
+    g1 = o1.damping_rate
+    w1s, w2s = o1.frequency**2, o2.frequency**2
+    if g1 == 0.0 or w2s == 0.0:
+        raise NotStable(f"{what} require w2 > 0 and damping on oscillator 1")
+    if w1s <= g1**2 / 4:
+        raise OverdampedUnsupported(f"{what} require the underdamped regime (w1 > gamma1/2)")
+    s1 = np.sqrt(w1s - g1**2 / 4)
+    return g1, w1s, w2s, o2.frequency, s1, (w1s - w2s) ** 2 + g1**2 * w2s
+
+
 def perturbative_poles(params: SystemParams, order: int = 2) -> PoleSet:
     """Small-coupling expansion of the pole pair.
 
@@ -324,25 +338,13 @@ def perturbative_poles(params: SystemParams, order: int = 2) -> PoleSet:
 
     Raises
     ------
-    OverdampedUnsupported
-        If w1 <= g1/2 (the undamped-frequency square root turns imaginary).
+    NotStable, OverdampedUnsupported
+        As :func:`_small_coupling` (no damping or w2 = 0; then w1 <= g1/2).
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    o1, o2, lam = params.osc1, params.osc2, params.coupling
-    g1 = o1.damping_rate
-    w1s = o1.frequency**2
-    w2s = o2.frequency**2
-    w2 = o2.frequency
-    m1, m2 = o1.mass, o2.mass
-    if w1s <= g1**2 / 4:
-        raise OverdampedUnsupported(
-            "small-coupling pole expansion requires the underdamped regime (w1 > gamma1/2)"
-        )
-    if w2 == 0.0 or g1 == 0.0:
-        raise NotStable("expansion requires w2 > 0 and damping on oscillator 1")
-    s1 = np.sqrt(w1s - g1**2 / 4)
-    big_r = (w1s - w2s) ** 2 + g1**2 * w2s
+    g1, w1s, w2s, w2, s1, big_r = _small_coupling(params, "small-coupling poles")
+    m1, m2, lam = params.osc1.mass, params.osc2.mass, params.coupling
 
     d_w1 = lam / (2 * m1 * s1)
     d_w2 = lam / (2 * m2 * w2)
@@ -498,24 +500,14 @@ def correlators_small_lambda(params: SystemParams, t_grid: np.ndarray) -> Correl
     residue transform); consequently g12 != g21, the two being time
     reflections of one another.  Regime: D2 >> lam^2 D1 / (m1^2 R); g22 omits
     the D1/(2 g1 m1 m2 w2^2) that leads at D2 = O(lam^2), all of g22 at D2 = 0.
+    The regime is stated, not enforced: :func:`hybridosc.cq.hybrid_correlators`
+    reads this table at D2 = lam^2/(4 D) and adds that term itself.
     """
     o1, o2, lam = params.osc1, params.osc2, params.coupling
-    if lam == 0.0:
+    if lam**2 == 0.0:  # g22 divides by lam^2, which underflows below about 1e-162
         raise CouplingZero("small-coupling correlators are singular at zero coupling")
-    g1 = o1.damping_rate
-    w1s = o1.frequency**2
-    w2s = o2.frequency**2
-    if g1 == 0.0 or w2s == 0.0:
-        raise NotStable("small-coupling correlators require w2 > 0 and damping on oscillator 1")
-    if w1s <= g1**2 / 4:
-        raise OverdampedUnsupported(
-            "small-coupling correlators require the underdamped regime (w1 > gamma1/2)"
-        )
-    m1, m2 = o1.mass, o2.mass
-    d1, d2 = o1.diffusion, o2.diffusion
-    w2 = o2.frequency
-    s1 = np.sqrt(w1s - g1**2 / 4)
-    big_r = (w1s - w2s) ** 2 + g1**2 * w2s
+    g1, w1s, w2s, w2, s1, big_r = _small_coupling(params, "small-coupling correlators")
+    m1, m2, d1, d2 = o1.mass, o2.mass, o1.diffusion, o2.diffusion
 
     t = np.asarray(t_grid, dtype=float)
     at = np.abs(t)

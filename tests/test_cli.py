@@ -185,6 +185,9 @@ def test_cq_json(tmp_path):
     assert payload["N"] == pytest.approx(0.5)
     assert payload["equal_time"]["Pq"] == pytest.approx(-0.0125)
     assert "gibbs_deviation" in payload
+    moments = payload["equal_time"]
+    assert payload["N_exact"] == pytest.approx((moments["QQ"] * moments["PP"]) ** 0.5 - 0.5)
+    assert "N_keldysh_route" not in payload
 
 
 def test_verify_passes(tmp_path):

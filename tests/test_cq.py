@@ -12,6 +12,7 @@ from hybridosc import (
     hybrid_correlators,
     hybrid_equal_time,
     map_to_classical,
+    occupation_exact,
     occupation_from_keldysh,
     occupation_number,
     routh_hurwitz,
@@ -22,16 +23,21 @@ from hybridosc import (
 from conftest import gibbs_covariance_oracle
 
 
-def natural_cq(coupling=0.05, diffusion=1.0, damping=1.0):
-    return CQParams(
-        classical_mass=1.0,
-        classical_spring=1.0,
-        damping=damping,
-        diffusion=diffusion,
-        quantum_mass=1.0,
-        quantum_spring=1.0,
-        coupling=coupling,
-    )
+def natural_cq(coupling=0.05, diffusion=1.0, damping=1.0, **lopsided):
+    return CQParams(**{
+        "classical_mass": 1.0,
+        "classical_spring": 1.0,
+        "damping": damping,
+        "diffusion": diffusion,
+        "quantum_mass": 1.0,
+        "quantum_spring": 1.0,
+        "coupling": coupling,
+        **lopsided,
+    })
+
+
+# pairs of unlike oscillators, each one parameter off the identical pair
+LOPSIDED = ({"quantum_mass": 2.0}, {"quantum_spring": 2.0}, {"classical_mass": 2.0})
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +118,23 @@ def test_keldysh_route_documented_discrepancy():
     assert min(sweep) == pytest.approx(0.0, abs=1e-4)
 
 
+def test_occupation_from_keldysh_holds_for_unlike_oscillators():
+    # m_Q omega_Q <<QQ>> - 1/2 from the closed form; the identical-oscillator
+    # amplitude read 0.129 against 0.626 at m_Q = 2
+    for lopsided in LOPSIDED:
+        cq = natural_cq(coupling=0.01, damping=0.7, **lopsided)
+        exact = cq.quantum_mass * cq.quantum_frequency * hybrid_equal_time(cq)["QQ"] - 0.5
+        assert abs(occupation_from_keldysh(cq) - exact) <= 0.02, lopsided
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1e-170], ids=["zero", "square_underflows"])
+def test_keldysh_routes_refuse_zero_coupling(coupling):
+    with pytest.raises(CouplingZero):
+        hybrid_correlators(natural_cq(coupling=coupling), np.array([0.0]))
+    with pytest.raises(CouplingZero):
+        occupation_from_keldysh(natural_cq(coupling=coupling))
+
+
 def test_published_occupation_assumes_four_times_saturated_d0():
     # N = nu - 1/2 with nu the symplectic eigenvalue of the mapped (Q, P)
     # covariance; m = omega = alpha = 1, so D = 2 T_C
@@ -129,6 +152,7 @@ def test_published_occupation_assumes_four_times_saturated_d0():
         saturated = mapped_occupation(d, 1.0 / (4.0 * d))
         assert abs(published - mapped_occupation(d, 1.0 / d)) <= 0.01
         assert abs(occupation_from_keldysh(cq) - saturated) <= 0.01
+        assert abs(occupation_exact(cq) - saturated) <= 1e-9
         if t_c < 1.0:
             assert abs(published - saturated) >= 0.3
 
@@ -166,22 +190,13 @@ def test_retarded_entry_imaginary_with_negative_time_support():
 
 
 def test_hybrid_correlators_match_mapped_exact_route():
-    cq = natural_cq(coupling=0.01)
-    mapped = map_to_classical(cq)
     t = np.linspace(-4, 4, 17)
-    printed = hybrid_correlators(cq, t)
-    exact = correlators_exact(mapped, t)
-    assert np.max(np.abs(printed.keldysh - exact.g22)) <= 0.05 * np.max(np.abs(exact.g22))
-    assert np.max(np.abs(printed.classical - exact.g11)) <= 0.05 * np.max(np.abs(exact.g11))
-
-
-def test_hybrid_correlators_require_identical_oscillators():
-    lopsided = CQParams(
-        classical_mass=1.0, classical_spring=1.0, damping=1.0, diffusion=1.0,
-        quantum_mass=2.0, quantum_spring=1.0, coupling=0.05,
-    )
-    with pytest.raises(ValueError):
-        hybrid_correlators(lopsided, np.array([0.0]))
+    for lopsided in ({}, *LOPSIDED):
+        cq = natural_cq(coupling=0.01, **lopsided)
+        printed = hybrid_correlators(cq, t)
+        exact = correlators_exact(map_to_classical(cq), t)
+        assert np.max(np.abs(printed.keldysh - exact.g22)) <= 0.05 * np.max(np.abs(exact.g22))
+        assert np.max(np.abs(printed.classical - exact.g11)) <= 0.05 * np.max(np.abs(exact.g11))
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_thread_count_does_not_change_results(monkeypatch, block_steps):
     from hybridosc import sde
 
     if block_steps is not None:
-        monkeypatch.setattr(sde, "BLOCK_STEPS", block_steps)
+        monkeypatch.setattr(sde, "FILL_NORMALS", 2 * block_steps * sde.CHUNK_TRAJECTORIES)
         monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
     params = SystemParams.natural_units(0.3)
     dn = assemble_drift_noise(params)
@@ -189,7 +189,7 @@ def test_noise_block_length_does_not_change_results(monkeypatch):
         initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=3,
     )
     default = simulate_ensemble(dn, cfg)
-    monkeypatch.setattr(sde, "BLOCK_STEPS", 7)
+    monkeypatch.setattr(sde, "FILL_NORMALS", 14 * sde.CHUNK_TRAJECTORIES)
     blocked = simulate_ensemble(dn, cfg)
     for name in _STATS_ARRAYS:
         assert np.array_equal(getattr(default, name), getattr(blocked, name)), name
@@ -217,15 +217,17 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     # leave the float range about 2390 outputs in, far past the first group,
     # and the trajectories go within a few outputs of each other, so the
     # report must take the first bad output, then its first bad trajectory,
-    # as the per-step loop on the same stream finds them.  With two CPUs and
-    # AHEAD_NORMALS lowered to 0 (a fill is 6 x 2 BLOCK_STEPS normals) the
-    # helper thread drawing ahead must have ended when the error is raised
+    # as the per-step loop on the same stream finds them.  With two CPUs,
+    # AHEAD_NORMALS lowered to 0 and fills of 6 x 256 normals (the run takes
+    # 27 of them) the helper thread drawing ahead must have ended when the
+    # error is raised
     import threading
 
     from hybridosc import sde
 
     monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
+    monkeypatch.setattr(sde, "FILL_NORMALS", 6 * 256)
     runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
     cfg = SimConfig(
         dt=0.9, t_final=3000.0, n_trajectories=6, seed=7,
@@ -286,7 +288,7 @@ def test_composed_pieces_match_per_step_loop(monkeypatch, group):
     # tests after it)
     from hybridosc import sde
 
-    monkeypatch.setattr(sde, "BLOCK_STEPS", 100)
+    monkeypatch.setattr(sde, "FILL_NORMALS", 200 * 40)
     monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
     params = SystemParams.natural_units(0.3, d1=1.5, d2=0.7)
     dn = assemble_drift_noise(params)
@@ -314,7 +316,7 @@ def test_strided_paths_match_per_gap_loop(monkeypatch, group):
     # z A^L + zeta F_L of the per-gap loop bit for bit
     from hybridosc import sde
 
-    monkeypatch.setattr(sde, "BLOCK_STEPS", 7)
+    monkeypatch.setattr(sde, "FILL_NORMALS", 14 * 40)
     monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
     dn = assemble_drift_noise(SystemParams.natural_units(0.3, d1=1.5, d2=0.7))
     cfg = SimConfig(

@@ -335,6 +335,22 @@ def test_small_lambda_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "params, refusal",
+    [
+        (make_params(1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.05), NotStable),
+        (make_params(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.05), NotStable),
+        (make_params(1.0, 0.04, 1.0, 1.0, 1.0, 1.0, 1.0, 0.05), OverdampedUnsupported),
+    ],
+    ids=["alpha_0", "k2_0", "k1_0.04"],
+)
+def test_small_coupling_routes_share_one_regime_gate(params, refusal):
+    with pytest.raises(refusal):
+        perturbative_poles(params)
+    with pytest.raises(refusal):
+        correlators_small_lambda(params, np.array([0.0]))
+
+
 def test_sigma_ratio_reference_and_consistency():
     params = SystemParams.natural_units(0.05)
     ratio = sigma_ratio(params)
