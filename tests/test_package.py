@@ -52,6 +52,19 @@ def test_quick_subcommand_loads_only_what_it_runs(argv, runs, tmp_path):
     assert not (never | unused) & loaded
 
 
+def test_sde_loads_the_thread_pool_only_to_draw_ahead():
+    # concurrent.futures (and the logging it imports) loads when a call draws ahead,
+    # not with the module nor for a strided call that draws inline
+    code = (
+        "import sys\nfrom hybridosc import SystemParams, assemble_drift_noise, sde\n"
+        "dn = assemble_drift_noise(SystemParams.natural_units(0.4))\n"
+        "sde.simulate_ensemble(dn, sde.SimConfig(dt=1e-2, t_final=1.0, n_trajectories=100))"
+    )
+    loaded = _loaded_after(code)
+    assert "hybridosc.sde" in loaded
+    assert not {"concurrent.futures", "logging"} & loaded
+
+
 def test_every_public_name_is_its_modules_object():
     assert hybridosc.__all__ == sorted(set(hybridosc.__all__))
     modules = [importlib.import_module(f"hybridosc.{m}") for m in SUBMODULES]

@@ -417,33 +417,9 @@ def test_stream_contract_four_normals_per_longer_gap():
 
 
 # False-alarm level of each Monte Carlo screen below: a correct sampler fails
-# one screen on one in a thousand seeds
+# one screen on one in a thousand seeds.  sde.moment_screen returns -log10 p
 SCREEN_LEVEL = 1e-3
-
-
-def _chi2_sf(x, dof):
-    # upper tail of the chi-squared law with an even number of degrees of freedom
-    half = x / 2
-    return math.exp(-half) * sum(half**j / math.factorial(j) for j in range(dof // 2))
-
-
-def _mean_screen(stats, k, mean, cov):
-    # n d^T C^-1 d for d the sample mean at output k less its exact value:
-    # chi-squared with 4 degrees of freedom; returns its upper tail
-    delta = stats.mean[k] - mean
-    return _chi2_sf(stats.n_trajectories * delta @ np.linalg.solve(cov, delta), 4)
-
-
-def _cov_screen(stats, k, cov):
-    # (n - 1) d^T G^-1 d over the ten distinct entries d of the sample
-    # covariance at output k less the exact one, with G from Isserlis'
-    # theorem, G_(ij),(kl) = C_ik C_jl + C_il C_jk: chi-squared with 10
-    # degrees of freedom for Gaussian states (Anderson, An Introduction to
-    # Multivariate Statistical Analysis, ch. 7); returns its upper tail
-    i, j = np.triu_indices(4)
-    delta = stats.cov[k][i, j] - cov[i, j]
-    gamma = cov[np.ix_(i, i)] * cov[np.ix_(j, j)] + cov[np.ix_(i, j)] * cov[np.ix_(j, i)]
-    return _chi2_sf((stats.n_trajectories - 1) * delta @ np.linalg.solve(gamma, delta), 10)
+SCREEN_BOUND = -math.log10(SCREEN_LEVEL)
 
 
 def _em_moments(dn, cfg, mean, cov):
@@ -464,25 +440,92 @@ def _em_moments(dn, cfg, mean, cov):
     return np.array(means), np.array(covs)
 
 
-def test_strided_ensemble_follows_discrete_em_covariance():
-    # a cold start at dt = 0.05, outputs every 50 steps: the ensemble follows
-    # the forward scheme's own moments (its dt bias kept), whose covariance at
-    # the end sits about 14 standard errors from the Lyapunov solution of the
-    # continuous process
-    params = SystemParams.natural_units(1.0)
-    dn = assemble_drift_noise(params)
+def _strided_cold_start():
+    # a cold start at dt = 0.05, outputs every 50 steps
+    dn = assemble_drift_noise(SystemParams.natural_units(1.0))
     cfg = SimConfig(
         dt=0.05, t_final=40.0, n_trajectories=4000, seed=17,
         initial_state=np.array([1.0, 0.0, -0.5, 0.5]), output_stride=50,
     )
+    return dn, cfg, cfg.initial_state, np.zeros((4, 4))
+
+
+def _verify_stationary_start():
+    # the run of verify's Monte Carlo rows at lam = 1e-3: 5000 steps from Lyapunov
+    dn = assemble_drift_noise(SystemParams.natural_units(1e-3))
+    cov = solve_lyapunov(dn)
+    cfg = SimConfig(
+        dt=1e-3, t_final=5.0, n_trajectories=200, initial_mean=np.zeros(4), initial_cov=cov,
+    )
+    return dn, cfg, cfg.initial_mean, cov
+
+
+@pytest.mark.parametrize("case", [_strided_cold_start, _verify_stationary_start],
+                         ids=["strided_cold_start", "verify_stationary_start"])
+def test_em_moments_match_per_step_loop(case):
+    # the library's composed moments, built from theta, Q and dt, against the
+    # per-step oracle at every output step
+    from hybridosc import sde
+
+    dn, cfg, mean0, cov0 = case()
+    means, covs = _em_moments(dn, cfg, mean0, cov0)
+    steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    assert len(steps) == len(covs)
+    for step, mean, cov in zip(steps.tolist(), means, covs):
+        got_mean, got_cov = sde.em_moments(dn, cfg.dt, step, mean0, cov0)
+        assert _close(got_mean, mean, 1e-12)
+        assert _close(got_cov, cov, 1e-12)
+
+
+def test_chi2_tail_stays_finite_where_the_tail_underflows():
+    # -log10 of e^-h, e^-h (1 + h) and e^-h sum_{j<5} h^j / j! (2, 4 and 10
+    # degrees of freedom, h = x/2); at x = 5000 the tails themselves underflow to 0
+    from hybridosc import sde
+
+    for x in (0.0, 3.0, 40.0, 5000.0):
+        h = x / 2
+        series = sum(h**j / math.factorial(j) for j in range(5))
+        for dof, log_sum in ((2, 0.0), (4, math.log1p(h)), (10, math.log(series))):
+            assert sde._chi2_tail(x, dof) == pytest.approx((h - log_sum) / math.log(10), rel=1e-13)
+
+
+def test_strided_ensemble_follows_discrete_em_covariance():
+    # the ensemble follows the forward scheme's own moments (its dt bias
+    # kept), whose covariance at the end sits about 14 standard errors from
+    # the Lyapunov solution of the continuous process
+    from hybridosc import sde
+
+    dn, cfg, mean0, cov0 = _strided_cold_start()
     stats = simulate_ensemble(dn, cfg)
-    means, covs = _em_moments(dn, cfg, np.array(cfg.initial_state), np.zeros((4, 4)))
-    assert len(covs) == len(stats.times) == 17
+    steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    assert len(steps) == len(stats.times) == 17
     for k in (1, -1):
-        assert _mean_screen(stats, k, means[k], covs[k]) > SCREEN_LEVEL
-        assert _cov_screen(stats, k, covs[k]) > SCREEN_LEVEL
+        mean, cov = sde.em_moments(dn, cfg.dt, steps[k], mean0, cov0)
+        assert max(sde.moment_screen(stats, k, mean, cov)) < SCREEN_BOUND
     lyapunov = solve_lyapunov(dn)
     assert np.max(np.abs(stats.cov[-1] - lyapunov) / stats.cov_stderr[-1]) > 10.0
+
+
+def test_covariance_screen_level_holds_from_200_trajectories():
+    # one step from the Lyapunov state at lam = 0.4, 1000 seeds of 200
+    # trajectories: the covariance screen's p < 0.1, 1e-2 and 1e-3 rates sit at
+    # their levels (100, 10 and 1 expected; outside 70-130, above 22 and above
+    # 5 are each a tail of 0.3% or less), so it is neither too strict nor too
+    # lenient.  Below about 200 trajectories the chi-squared tail is too
+    # light: 20 trajectories fire 12 times as often as the level says
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(0.4))
+    cov = solve_lyapunov(dn)
+    start = dict(dt=1e-3, t_final=1e-3, n_trajectories=200, initial_mean=np.zeros(4), initial_cov=cov)
+    mean, scheme = sde.em_moments(dn, 1e-3, 1, np.zeros(4), cov)
+    values = np.array([
+        sde.moment_screen(simulate_ensemble(dn, SimConfig(seed=seed, **start)), -1, mean, scheme)[1]
+        for seed in range(1000)
+    ])
+    assert 70 <= np.sum(values > 1) <= 130
+    assert np.sum(values > 2) <= 22
+    assert np.sum(values > SCREEN_BOUND) <= 5
 
 
 def test_energy_is_the_quadratic_form():
@@ -593,6 +636,8 @@ def _dt_excess(dn, dt):
 def test_stationary_ensemble_matches_lyapunov():
     # from the Lyapunov solution the ensemble follows the forward scheme's own
     # covariance, which moves off it only by the dt bias
+    from hybridosc import sde
+
     params = SystemParams.natural_units(1.0)
     dn = assemble_drift_noise(params)
     cov = solve_lyapunov(dn)
@@ -601,13 +646,15 @@ def test_stationary_ensemble_matches_lyapunov():
         initial_mean=np.zeros(4), initial_cov=cov,
     )
     stats = simulate_ensemble(dn, cfg)
-    _, covs = _em_moments(dn, cfg, np.zeros(4), cov)
-    assert _close(covs[-1], cov, _dt_excess(dn, cfg.dt))
-    assert _cov_screen(stats, -1, covs[-1]) > SCREEN_LEVEL
+    mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), cov)
+    assert _close(scheme, cov, _dt_excess(dn, cfg.dt))
+    assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
 
 
 def test_cold_start_relaxes_to_lyapunov():
     # strong coupling so the slowest mode relaxes quickly
+    from hybridosc import sde
+
     params = SystemParams.natural_units(1.0)
     dn = assemble_drift_noise(params)
     cov = solve_lyapunov(dn)
@@ -616,14 +663,14 @@ def test_cold_start_relaxes_to_lyapunov():
     stats = simulate_ensemble(dn, cfg)
     # the scheme's own covariance at the end is within its dt bias of Lyapunov,
     # where the energy drift vanishes; the ensemble is screened against it
-    _, covs = _em_moments(dn, cfg, np.zeros(4), np.zeros((4, 4)))
-    assert _close(covs[-1], cov, _dt_excess(dn, cfg.dt))
+    mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), np.zeros((4, 4)))
+    assert _close(scheme, cov, _dt_excess(dn, cfg.dt))
     assert abs(energy_drift(params, cov)) < 1e-12
-    assert _cov_screen(stats, -1, covs[-1]) > SCREEN_LEVEL
+    assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
     # the drift is linear in Var(p1), whose sample value has variance 2 Var(p1)^2 / (n - 1)
-    drift = energy_drift(params, stats.cov[-1]) - energy_drift(params, covs[-1])
+    drift = energy_drift(params, stats.cov[-1]) - energy_drift(params, scheme)
     rate = params.osc1.damping / params.osc1.mass**2
-    se = rate * covs[-1][1, 1] * math.sqrt(2 / (cfg.n_trajectories - 1))
+    se = rate * scheme[1, 1] * math.sqrt(2 / (cfg.n_trajectories - 1))
     assert math.erfc(abs(drift / se) / math.sqrt(2)) > SCREEN_LEVEL
 
 
