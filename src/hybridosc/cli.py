@@ -192,16 +192,11 @@ def _cmd_correlators(args, config) -> int:
     if not np.isfinite(args.t_max):
         raise ValueError(f"--t-max must be finite, got {args.t_max}")
     t = np.linspace(-args.t_max, args.t_max, args.points)
-    method = args.method
-    if method == "auto":
-        try:
-            table = spectral.correlators_exact(params, t)
-        except HybridOscError:
-            table = spectral.correlators_small_lambda(params, t)
-    elif method == "exact":
-        table = spectral.correlators_exact(params, t)
-    else:
+    # the leading-order table only on request: where the residues refuse, it is outside its regime
+    if args.method == "small-lambda":
         table = spectral.correlators_small_lambda(params, t)
+    else:
+        table = spectral.correlators_exact(params, t)
 
     lines = ["t,pair,value,method"]
     for name in table.PAIR_COLUMNS:
@@ -319,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _DEFAULT_PARAMS)
     p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
     p.add_argument("--points", type=int, default=201)
-    p.add_argument("--method", choices=("auto", "exact", "small-lambda"), default="auto")
+    p.add_argument("--method", choices=("exact", "small-lambda"), default="exact")
 
     p = sub.add_parser("cq", help="hybrid layer summary as JSON", parents=[common])
     _add_flags(p, _DEFAULT_CQ)

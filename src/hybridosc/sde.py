@@ -157,7 +157,10 @@ class EnsembleStats:
     ``cov`` holds unbiased sample covariances; their standard errors use the
     Gaussian sampling formula Var(C_ij) = (C_ii C_jj + C_ij^2)/(n-1), exact
     for this process.  ``energy_mean`` is the sample mean of the total
-    mechanical energy (kinetic + both springs + coupling spring).
+    mechanical energy E = z^T W z / 2 (kinetic + both springs + coupling
+    spring), formed from the moments as tr(W m2) / (2n) + m^T W m / 2 with m2
+    the sum of centred outer products.  ``energy_stderr`` uses the Gaussian
+    sampling formula too: Var(E) = tr(W C W C) / 2 + m^T W C W m, over n.
     """
 
     times: np.ndarray
@@ -197,18 +200,11 @@ class EnsembleStats:
             stream.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def _energy(states: np.ndarray, weight: np.ndarray, work=None, out=None) -> np.ndarray:
-    """z^T W z / 2 over (..., n) of component-major ``states`` (..., 4, n), W = ``weight``
-    (symmetric); ``work`` (..., 4, n) and ``out`` (..., n) take the product and the result."""
-    work = np.matmul(weight, states, out=work)
-    work *= states
-    return np.matmul(np.full(4, 0.5), work, out=out)
-
-
 def total_energy(params: SystemParams, states: np.ndarray) -> np.ndarray:
-    """Total mechanical energy for states of shape (..., 4)."""
-    energy = _energy(np.asarray(states, dtype=float)[..., None], energy_weight_matrix(params))
-    return energy[..., 0][()]  # [()] makes one state's energy a scalar
+    """Total mechanical energy z^T W z / 2 for states z of shape (..., 4)."""
+    states = np.asarray(states, dtype=float)
+    # (z W) . z: a component that W gives no weight adds 0 even where it is huge, not 0 * inf
+    return 0.5 * np.einsum("...i,...i->...", states @ energy_weight_matrix(params), states)[()]
 
 
 def energy_drift(params: SystemParams, cov: np.ndarray) -> float:
@@ -475,10 +471,10 @@ def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict,
 
 
 def _run_chunk(
-    cfg: SimConfig, output_steps: np.ndarray, maps: dict, weight: np.ndarray, layout: _Layout, fills,
-    indices: range,
+    cfg: SimConfig, output_steps: np.ndarray, maps: dict, layout: _Layout, fills, indices: range,
 ):
-    """One block of trajectories' (count, mean, m2, e_mean, e_m2) at every output step.
+    """One block of trajectories' (count, mean, m2) at every output step, m2 the sum of
+    centred outer products.
 
     A non-finite state makes its output's sum non-finite, so only a group
     with a non-finite sum is searched (:func:`_finite`) for the first bad
@@ -487,10 +483,8 @@ def _run_chunk(
     n, n_out = len(indices), len(output_steps)
     times = output_steps * cfg.dt
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
-    e_mean, e_m2 = np.empty(n_out), np.empty(n_out)
     ones = np.ones(n)
-    size = min(GROUP_OUTPUTS, n_out)
-    centred, weighted, energies = np.empty((size, 4, n)), np.empty((size, 4, n)), np.empty((size, n))
+    centred = np.empty((min(GROUP_OUTPUTS, n_out), 4, n))
     for k0, rows in _steps(cfg, indices, output_steps, maps, layout, fills):
         g = len(rows)
         out = slice(k0, k0 + g)
@@ -501,37 +495,26 @@ def _run_chunk(
         mean[out] = sums / n
         np.subtract(states, mean[out, :, None], out=centred[:g])
         m2[out] = centred[:g] @ centred[:g].transpose(0, 2, 1)
-        _energy(states, weight, weighted[:g], energies[:g])
-        # not energies @ ones: one (g, n) gemv rounds differently for different group sizes
-        e_mean[out] = energies[:g].mean(axis=1)
-        e_m2[out] = ((energies[:g] - e_mean[out, None]) ** 2).sum(axis=1)
-    return n, mean, m2, e_mean, e_m2
+    return n, mean, m2
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    """Chan's pairwise update of two chunks' moments, at every output step at once.
+    """Chan's pairwise update of two chunks' (count, mean, m2), at every output step at once.
 
     The sums are taken in place into ``a``'s arrays, with ``b``'s as scratch,
     by the same operations in the same order as the plain expressions
     mean_a + delta (n_b / total) and m2_a + m2_b + delta delta^T (n_a n_b / total)."""
-    n_a, mean_a, m2_a, e_mean_a, e_m2_a = a
-    n_b, mean_b, m2_b, e_mean_b, e_m2_b = b
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
     total = n_a + n_b
     delta = np.subtract(mean_b, mean_a, out=mean_b)
-    e_delta = np.subtract(e_mean_b, e_mean_a, out=e_mean_b)
     m2_a += m2_b
     spread = np.multiply(delta[:, :, None], delta[:, None, :], out=m2_b)
     spread *= n_a * n_b / total
     m2_a += spread
-    e_m2_a += e_m2_b
-    e_spread = np.square(e_delta, out=e_m2_b)
-    e_spread *= n_a * n_b / total
-    e_m2_a += e_spread
     delta *= n_b / total
     mean_a += delta
-    e_delta *= n_b / total
-    e_mean_a += e_delta
-    return total, mean_a, m2_a, e_mean_a, e_m2_a
+    return total, mean_a, m2_a
 
 
 def _finite_moments(times: np.ndarray, moments: tuple) -> None:
@@ -560,18 +543,21 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     not scale to more cores.  The results are bitwise identical either way,
     and memory is at most two fill buffers and one chunk's results besides
     the running total, never growing with the ensemble size; the merge and
-    the final spreads are computed in place.  The helper thread has ended
-    when this function returns or raises.
+    the final spreads are computed in place.  A chunk's moments are its
+    count, mean and sum of centred outer products; the energy's mean and
+    standard error come from the merged ones (:class:`EnsembleStats`), with
+    no per-trajectory energy.  The helper thread has ended when this
+    function returns or raises.
 
     Raises :class:`NumericalOverflow` naming the trajectory and output time
     where a state first leaves the float range, or, where every state is
-    finite, the first output time at which a moment (a sum, centred product
-    or energy moment, merged or final) does; a one-trajectory ensemble's NaN
-    spreads are not an overflow.
+    finite, the first output time at which a moment (a sum or centred
+    product, merged or final, or the energy's mean or standard error formed
+    from them) does; a one-trajectory ensemble's NaN spreads are not an
+    overflow.
     """
     _check_step_size(dn, cfg)
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
-    weight = energy_weight_matrix(dn.params)
     chunks = [
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
@@ -595,9 +581,16 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
                 cfg.seed, [(c.start // CHUNK_TRAJECTORIES, len(c)) for c in chunks],
                 layout.ends, layout.width, buffers, helper,
             )
-            run = functools.partial(_run_chunk, cfg, output_steps, maps, weight, layout, fills)
-            n, mean, m2, e_mean, e_m2 = functools.reduce(_merge, map(run, chunks))
+            run = functools.partial(_run_chunk, cfg, output_steps, maps, layout, fills)
+            n, mean, m2 = functools.reduce(_merge, map(run, chunks))
 
+        # the mean energy tr(W m2) / (2n) + m W m / 2, taken before m2 becomes cov: a
+        # one-trajectory ensemble's m2 is 0, its cov NaN.  m W is formed first, so that a
+        # component W gives no weight (a free particle's q) adds 0, not 0 * inf
+        weight = energy_weight_matrix(dn.params)
+        mw = mean @ weight
+        energy_mean = np.einsum("ij,kji->k", weight, m2) / (2 * n)
+        energy_mean += 0.5 * np.einsum("ki,ki->k", mw, mean)
         # in place, as m2 / (n - 1) and sqrt((C_ii C_jj + C_ij^2) / (n - 1)); a one-trajectory
         # ensemble has m2 == 0 exactly: 0/0 leaves NaN spreads
         cov = np.divide(m2, n - 1, out=m2)
@@ -607,14 +600,17 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
         cov_stderr /= n - 1
         np.sqrt(cov_stderr, out=cov_stderr)
         mean_stderr = np.sqrt(np.clip(diag, 0.0, None) / n)
-        energy_stderr = np.sqrt(np.clip(e_m2 / (n - 1), 0.0, None) / n)
+        # Var(z^T W z / 2) = tr(W C W C) / 2 + m W C W m for z ~ N(m, C)
+        wc = weight @ cov
+        energy_var = 0.5 * np.einsum("kij,kji->k", wc, wc) + np.einsum("ki,kij,kj->k", mw, cov, mw)
+        energy_stderr = np.sqrt(np.clip(energy_var, 0.0, None) / n)
 
     times = output_steps * cfg.dt
     spreads = (cov, cov_stderr, mean_stderr, energy_stderr) if n > 1 else ()
-    _finite_moments(times, (mean, e_mean, *spreads))
+    _finite_moments(times, (mean, energy_mean, *spreads))
     return EnsembleStats(
         times=times, mean=mean, mean_stderr=mean_stderr, cov=cov,
-        cov_stderr=cov_stderr, energy_mean=e_mean, energy_stderr=energy_stderr, n_trajectories=n,
+        cov_stderr=cov_stderr, energy_mean=energy_mean, energy_stderr=energy_stderr, n_trajectories=n,
     )
 
 

@@ -40,10 +40,11 @@ def monte_carlo_rows(dn: DriftNoise, solved: np.ndarray, seed: int, n_trajectori
     sample mean (chi-squared, 4 degrees of freedom) and sample covariance
     (chi-squared, 10) against that law (:func:`sde.moment_screen`); a bound of
     3 is a false-alarm level of 1e-3 each, which holds from about 200
-    trajectories.  ``scheme_bias_vs_lyapunov`` is deterministic: the scheme's
-    covariance less ``solved``, entry by entry in standard errors at this
-    trajectory count, sqrt((S_ii S_jj + S_ij^2) / (n - 1)) with S = ``solved``,
-    worst entry against 1, so the step's bias stays within the screens' reach.
+    trajectories (:func:`run_checks` refuses fewer).
+    ``scheme_bias_vs_lyapunov`` is deterministic: the scheme's covariance less
+    ``solved``, entry by entry in standard errors at this trajectory count,
+    sqrt((S_ii S_jj + S_ij^2) / (n - 1)) with S = ``solved``, worst entry
+    against 1, so the step's bias stays within the screens' reach.
     """
     cfg = sde.SimConfig(
         dt=1e-3, t_final=5.0, n_trajectories=n_trajectories, seed=seed,
@@ -65,9 +66,12 @@ def run_checks(
     params: SystemParams, seed: int, mc_trajectories: int, tol_scale: float
 ) -> list[Check]:
     """Run every check on ``params`` in a fixed order; ``seed`` drives the random
-    draws and the Monte Carlo run, and ``tol_scale`` multiplies every bound."""
-    if mc_trajectories < 2:  # one trajectory has no spread, so its error bands are NaN
-        raise ValueError(f"mc_trajectories must be >= 2, got {mc_trajectories}")
+    draws and the Monte Carlo run of ``mc_trajectories`` trajectories (at least 200,
+    where the Monte Carlo rows' false-alarm level holds), and ``tol_scale``
+    multiplies every bound."""
+    # below 200 trajectories the covariance screen's tail is heavier than its 1e-3 level
+    if mc_trajectories < 200:
+        raise ValueError(f"mc_trajectories must be >= 200, got {mc_trajectories}")
     if not 0 < tol_scale < np.inf:  # NaN fails every row, a negative scale passes zero bounds
         raise ValueError(f"tol_scale must be finite and positive, got {tol_scale}")
     rng = np.random.default_rng(seed)

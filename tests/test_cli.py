@@ -163,14 +163,17 @@ def test_correlators_csv_schema(tmp_path):
     assert all(line.split(",")[3] == "exact-residue" for line in lines[1:])
 
 
-def test_correlators_auto_falls_back_to_small_lambda(tmp_path):
+def test_correlators_small_lambda_on_request(tmp_path):
     out = tmp_path / "corr.csv"
     code = run_cli([
         "-o", str(out), "correlators", "--lambda", "1e-6",
-        "--t-max", "2", "--points", "5",
+        "--t-max", "2", "--points", "5", "--method", "small-lambda",
     ])
     assert code == EXIT_OK
-    assert "small-lambda" in out.read_text()
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "t,pair,value,method"
+    assert len(lines) == 1 + 7 * 5
+    assert all(line.split(",")[3] == "small-lambda" for line in lines[1:])
 
 
 def test_cq_json(tmp_path):
@@ -303,6 +306,7 @@ _REJECTED_INPUTS = {
     "cq_zero_temperature": ["cq", "--D", "0", "--lambda", "0"],
     "verify_zero_trajectories": ["verify", "--mc-trajectories", "0"],
     "verify_one_trajectory": ["verify", "--mc-trajectories", "1"],
+    "verify_below_the_screen_floor": ["verify", "--mc-trajectories", "199"],
     "verify_undriven_oscillator_2": ["verify", "--D2", "0"],
     "verify_nan_tol_scale": ["verify", "--tol-scale", "nan"],
     "verify_negative_tol_scale": ["verify", "--tol-scale", "-1"],
@@ -326,6 +330,9 @@ def test_rejected_input_is_config_error(argv, tmp_path, capsys):
 # inputs the library refuses numerically: exit 3 with one stderr line
 _NUMERICAL_REFUSALS = {
     "small_lambda_undriven_w2": ["correlators", "--method", "small-lambda", "--k2", "0"],
+    # the CQ map at D = 1, lam = 1e-4: the residues refuse (degenerate poles), and the
+    # default method reports that rather than the leading-order table outside its regime
+    "exact_correlators_degenerate_poles": ["correlators", "--lambda", "1e-4", "--D2", "2.5e-9"],
     "float_overflow": ["stability", "--lambda", "1e308", "--k1", "1e308"],
     # both routes leave the float range; the closed form, run first, refuses
     "lyapunov_overflow_k1_zero": ["steadystate", "--k1", "0", "--m2", "1.5", "--lambda", "9e-155"],
@@ -425,7 +432,7 @@ def test_sigma_ratio_check_sees_a_wrong_ratio(monkeypatch):
     sigma_ratio = spectral.sigma_ratio
     monkeypatch.setattr(spectral, "sigma_ratio", lambda params: 1.1 * sigma_ratio(params))
     params = SystemParams.natural_units(0.4)
-    rows = verify.run_checks(params, seed=1, mc_trajectories=50, tol_scale=1.0)
+    rows = verify.run_checks(params, seed=1, mc_trajectories=200, tol_scale=1.0)
     checks = {check.name: check for check in rows}
     assert not checks["sigma_ratio_vs_residue"].passed
     assert checks["small_lambda_g22"].passed
@@ -443,7 +450,7 @@ def test_cross_checks_see_a_wrong_numerator(monkeypatch):
 
     monkeypatch.setattr(spectral, "_numerators", skewed)
     params = SystemParams.natural_units(0.4)
-    rows = verify.run_checks(params, seed=1, mc_trajectories=50, tol_scale=1.0)
+    rows = verify.run_checks(params, seed=1, mc_trajectories=200, tol_scale=1.0)
     checks = {check.name: check for check in rows}
     assert not checks["greens_vs_numeric_inverse"].passed
     assert not checks["residue_equal_time_vs_lyapunov"].passed

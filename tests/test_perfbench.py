@@ -1,5 +1,8 @@
-"""The benchmark's span tracer still finds every function it wraps."""
+"""The benchmark still runs: its span tracer finds every function it wraps, and its
+smoke run passes every gate."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +36,14 @@ def test_traced_cli_replay_records_each_layer(monkeypatch, tmp_path):
         tracer.uninstall()
     names = {span.name for span in tracer.spans}
     assert {"cli.main", "stability.routh_hurwitz", "model.assemble_drift_noise", "cq.thermal_limit"} <= names
+
+
+def test_benchmark_smoke_passes():
+    # every workload at a tiny size, traced and untraced: metric names and units match
+    # BENCHMARK.json, every gate passes, and every gate fails on corrupted references
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "smoke: ok"

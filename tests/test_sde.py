@@ -16,7 +16,7 @@ from hybridosc import (
     total_energy,
 )
 
-from conftest import make_params
+from conftest import dt_excess, make_params
 
 
 def test_noise_stream_partition_invariance():
@@ -546,10 +546,27 @@ def test_energy_is_the_quadratic_form():
     assert total_energy(params, states[1, 2]) == pytest.approx(explicit[1, 2], rel=1e-14)
 
 
+def _pooled_states(dn, cfg):
+    # every trajectory's state at every output, (outputs, trajectories, 4), stepped chunk by
+    # chunk as the ensemble steps them
+    from hybridosc import sde
+
+    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    maps = sde._gap_maps(dn, cfg, output_steps)
+    pooled = np.empty((len(output_steps), cfg.n_trajectories, 4))
+    for lo in range(0, cfg.n_trajectories, sde.CHUNK_TRAJECTORIES):
+        chunk = range(lo, min(lo + sde.CHUNK_TRAJECTORIES, cfg.n_trajectories))
+        for k0, group in sde._steps(cfg, chunk, output_steps, maps):
+            pooled[k0 : k0 + len(group), chunk.start : chunk.stop] = group
+    return pooled
+
+
 def test_merged_chunks_equal_pooled_moments():
     # 2100 trajectories make three chunks, the last one partial; the merged
-    # moments must equal plain sample statistics of all trajectories at once
-    from hybridosc import sde
+    # moments must equal plain sample statistics of all trajectories at once,
+    # and the energy's standard error the Gaussian formula on them,
+    # Var(z^T W z / 2) = tr(W C W C) / 2 + m W C W m
+    from hybridosc.model import energy_weight_matrix
 
     params = SystemParams.natural_units(0.3)
     dn = assemble_drift_noise(params)
@@ -558,21 +575,37 @@ def test_merged_chunks_equal_pooled_moments():
         initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=10,
     )
     stats = simulate_ensemble(dn, cfg)
-    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
-    maps = sde._gap_maps(dn, cfg, output_steps)
-    pooled = np.empty((len(output_steps), cfg.n_trajectories, 4))
-    for lo in range(0, cfg.n_trajectories, sde.CHUNK_TRAJECTORIES):
-        chunk = range(lo, min(lo + sde.CHUNK_TRAJECTORIES, cfg.n_trajectories))
-        for k0, group in sde._steps(cfg, chunk, output_steps, maps):
-            pooled[k0 : k0 + len(group), chunk.start : chunk.stop] = group
-    for k, z in enumerate(pooled):
-        energies = total_energy(params, z)
-        np.testing.assert_allclose(stats.mean[k], z.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(stats.cov[k], np.cov(z, rowvar=False), rtol=1e-12)
-        np.testing.assert_allclose(stats.energy_mean[k], energies.mean(), rtol=1e-12)
-        np.testing.assert_allclose(
-            stats.energy_stderr[k], energies.std(ddof=1) / np.sqrt(len(z)), rtol=1e-12
-        )
+    w = energy_weight_matrix(params)
+    for k, z in enumerate(_pooled_states(dn, cfg)):
+        m, c = z.mean(axis=0), np.cov(z, rowvar=False)
+        np.testing.assert_allclose(stats.mean[k], m, rtol=1e-12)
+        np.testing.assert_allclose(stats.cov[k], c, rtol=1e-12)
+        np.testing.assert_allclose(stats.energy_mean[k], total_energy(params, z).mean(), rtol=1e-12)
+        var = 0.5 * np.trace(w @ c @ w @ c) + m @ w @ c @ w @ m
+        np.testing.assert_allclose(stats.energy_stderr[k], np.sqrt(var / len(z)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("start", ["gaussian", "fixed"])
+def test_energy_stderr_matches_the_spread_of_trajectory_energies(start):
+    # the Gaussian formula against the empirical standard error of the 2100
+    # trajectories' energies at every output: sampling noise is a few percent,
+    # while a dropped 1/2 on the trace term or a dropped mean term is far more.
+    # The fixed start moves off a non-zero mean, where the m W C W m term dominates
+    params = SystemParams.natural_units(0.3)
+    dn = assemble_drift_noise(params)
+    initial = (
+        dict(initial_mean=np.array([0.5, 0.0, -0.4, 0.2]), initial_cov=solve_lyapunov(dn))
+        if start == "gaussian" else dict(initial_state=np.array([1.0, -0.5, 0.3, 0.8]))
+    )
+    cfg = SimConfig(dt=1e-2, t_final=1.0, n_trajectories=2100, seed=8, output_stride=10, **initial)
+    stats = simulate_ensemble(dn, cfg)
+    energies = total_energy(params, _pooled_states(dn, cfg))
+    empirical = energies.std(axis=1, ddof=1) / math.sqrt(cfg.n_trajectories)
+    first = 0
+    if start == "fixed":  # every trajectory has the same energy at t = 0: no spread to compare
+        assert stats.energy_stderr[0] < 1e-12 * stats.energy_mean[0]
+        first = 1
+    np.testing.assert_allclose(stats.energy_stderr[first:], empirical[first:], rtol=0.1)
 
 
 def test_one_trajectory_ensemble_has_nan_spreads():
@@ -625,14 +658,6 @@ def test_deterministic_conservative_energy_constant():
     assert abs(energies[-1] - energies[0]) <= bound
 
 
-def _dt_excess(dn, dt):
-    # the forward scheme's stationary variance excess, about rho / (1 - rho)
-    # relative with rho = max over modes mu of |mu|^2 dt / (2 Re mu)
-    mu = np.linalg.eigvals(dn.theta)
-    rho = float(np.max(np.abs(mu) ** 2 * dt / (2 * mu.real)))
-    return rho / (1 - rho)
-
-
 def test_stationary_ensemble_matches_lyapunov():
     # from the Lyapunov solution the ensemble follows the forward scheme's own
     # covariance, which moves off it only by the dt bias
@@ -647,7 +672,7 @@ def test_stationary_ensemble_matches_lyapunov():
     )
     stats = simulate_ensemble(dn, cfg)
     mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), cov)
-    assert _close(scheme, cov, _dt_excess(dn, cfg.dt))
+    assert _close(scheme, cov, dt_excess(dn, cfg.dt))
     assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
 
 
@@ -664,7 +689,7 @@ def test_cold_start_relaxes_to_lyapunov():
     # the scheme's own covariance at the end is within its dt bias of Lyapunov,
     # where the energy drift vanishes; the ensemble is screened against it
     mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), np.zeros((4, 4)))
-    assert _close(scheme, cov, _dt_excess(dn, cfg.dt))
+    assert _close(scheme, cov, dt_excess(dn, cfg.dt))
     assert abs(energy_drift(params, cov)) < 1e-12
     assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
     # the drift is linear in Var(p1), whose sample value has variance 2 Var(p1)^2 / (n - 1)
