@@ -1,32 +1,28 @@
-"""Euler-Maruyama ensemble integration with streaming moment statistics.
+"""Ensemble integration by the drift's exact flow, with streaming moment statistics.
 
-The scheme is the plain forward step
+One step of dt is
 
-    z <- z A + sqrt(dt) (0, sqrt(D1) eta1, 0, sqrt(D2) eta2),   A = I - theta^T dt,
+    z <- z A + sqrt(dt) (eta1, eta2) amp B,   A = e^{-theta^T dt},  B = e^{-theta^T dt / 2},
 
-with z a row vector and eta ~ N(0, I) iid; it is weakly first order (and,
-for additive noise, the Ito/Stratonovich distinction is moot).  Its
-stationary law is biased by the step, not only slowly converging: forward
-Euler damps a mode mu of theta by |1 - mu dt|^2 = 1 - 2 Re(mu) dt (1 - rho),
-rho = |mu|^2 dt / (2 Re mu), so the chain is stable only for rho < 1 and the
-mode's stationary variance exceeds the process's by a factor of about
-1 / (1 - rho).  At weak coupling the slow modes have small Re mu and rho is
-about dt / lam^2: 0.44 at the command line's defaults (lam = 0.05,
-dt = 1e-3), which dt * max|eigenvalue| (the step-size guard, 1e-3 there)
-does not see.
+with z a row vector, amp the two driven rows (p1, p2) of the noise amplitude
+and eta ~ N(0, I) iid: the drift's exact flow with the step's two normals
+applied at its midpoint, an exponential integrator (Hochbruck & Ostermann
+2010, Acta Numerica 19:209) at the cost of a forward Euler step.  The flow
+contracts at every dt on a stable system and keeps the energy of an
+undamped, undriven one, so any dt > 0 runs.  The midpoint rule leaves a bias
+of about (gamma1 dt)^2 / 12 on the stationary covariance, relative to its
+scale (8.3e-8 at dt = 1e-3 with gamma1 = 1, at any coupling).
 
 Between outputs the step is a linear Gaussian recursion, so a gap of L
 steps from one output to the next is one move, exact in law:
 
-    z <- z A^L + zeta F_L,   F_L^T F_L = S_L = sum_{k<L} (amp A^k)^T (amp A^k),
+    z <- z A^L + zeta F_L,   F_L^T F_L = S_L = sum_{k<L} (F_1 A^k)^T (F_1 A^k),
 
-with amp the two driven rows of the noise amplitude and zeta ~ N(0, I).  A
-one-step gap is the forward step (F_1 = amp); a longer one has F_L a square
-root of S_L.  The pair (A^L, S_L) composes by 4x4 doubling, once per gap
-length, so strided runs keep the forward scheme's dt bias and stability
-limit but not its per-step samples.  S_L grows like the square of A^L: an
-unstable run is reported at the first output whose gap map overflows, which
-can be earlier than its states would.
+with F_1 = sqrt(dt) amp B and zeta ~ N(0, I).  A one-step gap is the step
+itself; a longer one has F_L a square root of S_L.  The pair (A^L, S_L)
+composes by 4x4 doubling, once per gap length, so strided runs keep the
+step's law, bias included, but not its per-step samples.  A run whose gap
+map overflows is reported at the first output that map moves to.
 
 The gaps are stepped in batches: consecutive gaps of one length whose noise
 sits in one fill of the noise buffer get their terms zeta F_L from one
@@ -60,7 +56,6 @@ import contextlib
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,9 +82,6 @@ CSV_ROWS = 1024
 # it saves (2 CPUs: 12,288 normals 16% slower than inline, 36,864 8% faster, 135,168 28%
 # faster; BENCH_em_sfc64.json).  Speed only: results do not depend on it
 AHEAD_NORMALS = 1 << 15
-
-DT_WARN_FACTOR = 0.1
-DT_ERROR_FACTOR = 1.0
 
 
 def _usable_cpus() -> int:
@@ -224,22 +216,22 @@ def energy_drift(params: SystemParams, cov: np.ndarray) -> float:
 
 
 def em_moments(dn: DriftNoise, dt: float, n_steps: int, mean: np.ndarray, cov: np.ndarray):
-    """The forward scheme's exact (mean, covariance) ``n_steps`` steps on from (``mean``, ``cov``).
+    """The scheme's exact (mean, covariance) ``n_steps`` steps on from (``mean``, ``cov``).
 
-    A step maps m <- m A and C <- A^T C A + Q dt, A = I - theta^T dt and
-    Q = sigma sigma^T, so the scheme's dt bias is kept.  The n maps compose by
-    squaring (:func:`hybridosc.steadystate._affine_power`) on m and on vec C,
-    whose map less the identity is -(theta (x) I + I (x) theta) dt +
-    (theta (x) theta) dt^2.  This is built from theta, Q and dt alone, not from
-    the gap maps the ensemble moves by, so a fault in those maps moves the
-    samples and not this reference.
+    In column form a step maps m <- (I + e) m and C <- (I + e) C (I + e)^T +
+    F_1^T F_1, with e = e^{-theta dt} - I and F_1 the step of
+    :func:`_base_step`, so the scheme's dt bias is kept.  The n maps compose
+    by squaring (:func:`hybridosc.steadystate._affine_power`) on m and on
+    vec C, whose map less the identity is e (x) e + e (x) I + I (x) e.  This
+    shares the one-step pair with the gap maps the ensemble moves by, but not
+    their doubling; the test suite checks that pair against scipy's expm.
     """
-    step = dn.theta * dt
-    eye = np.eye(4)
+    drift, factor = _base_step(dn, dt)
+    step, eye = drift.T, np.eye(4)
     # vec convention: (A @ X @ B.T).ravel() == kron(A, B) @ X.ravel()
-    d_cov = np.kron(step, step) - np.kron(step, eye) - np.kron(eye, step)
-    mean = _affine_power(-step, np.zeros(4), np.asarray(mean, dtype=float), n_steps)
-    vec = _affine_power(d_cov, (dn.diffusion_matrix * dt).ravel(), np.ravel(cov).astype(float), n_steps)
+    d_cov = np.kron(step, step) + np.kron(step, eye) + np.kron(eye, step)
+    mean = _affine_power(step, np.zeros(4), np.asarray(mean, dtype=float), n_steps)
+    vec = _affine_power(d_cov, (factor.T @ factor).ravel(), np.ravel(cov).astype(float), n_steps)
     cov = vec.reshape(4, 4)
     return mean, 0.5 * (cov + cov.T)
 
@@ -282,23 +274,6 @@ def moment_screen(stats: EnsembleStats, k: int, mean: np.ndarray, cov: np.ndarra
     )
 
 
-def _check_step_size(dn: DriftNoise, cfg: SimConfig) -> None:
-    scale = float(np.max(np.abs(np.linalg.eigvals(dn.theta))))
-    if scale == 0.0:
-        return
-    product = cfg.dt * scale
-    if product > DT_ERROR_FACTOR:
-        raise ValueError(
-            f"dt * max|eigenvalue| = {product:.3g} > {DT_ERROR_FACTOR}; the forward scheme is unstable"
-        )
-    if product > DT_WARN_FACTOR:
-        warnings.warn(
-            f"dt * max|eigenvalue| = {product:.3g} exceeds {DT_WARN_FACTOR}; "
-            "expect visible discretisation bias",
-            stacklevel=3,
-        )
-
-
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     """PSD square root tolerant of semidefinite covariances."""
     vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
@@ -321,8 +296,34 @@ def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray
     return states
 
 
-def _gap_map(drift: np.ndarray, amp: np.ndarray, length: int):
-    """(A^L, F_L) of a gap of ``length`` steps, A = I + ``drift``; all-NaN F_L if S_L overflows.
+def _expm1(a: np.ndarray) -> np.ndarray:
+    """e^a - I of a square matrix ``a`` (NaN if ``a`` is not finite), kept off 1 for small a:
+    the Taylor series at x = a / 2^s, 1-norm at most 1/2, summed until a term leaves the sum
+    unchanged, then s doublings d <- 2d + d^2, as in :func:`_gap_map`.  A nilpotent ``a``
+    (a^2 = 0) comes back exactly."""
+    norm = np.abs(a).sum(axis=0).max()
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    s = max(0, math.frexp(norm)[1] + 1)  # 2^s >= 2 norm
+    x = np.ldexp(a, -s)
+    d, term, k = x, x, 2
+    while not (d + (term := term @ x / k) == d).all():
+        d, k = d + term, k + 1
+    for _ in range(s):
+        d = 2 * d + d @ d
+    return d
+
+
+def _base_step(dn: DriftNoise, dt: float):
+    """(d, F_1) of one step, d = A - I and F_1 = sqrt(dt) amp B, from the half step h = B - I
+    taken once: d = 2h + h^2 and F_1 = sqrt(dt) amp (I + h), a dense 2x4 factor."""
+    half = _expm1(-0.5 * dt * dn.theta.T)
+    amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(dt)  # the driven rows p1, p2 of sigma
+    return 2 * half + half @ half, amp + amp @ half
+
+
+def _gap_map(drift: np.ndarray, factor: np.ndarray, length: int):
+    """(A^L, F_L) of a gap of ``length`` steps from the step's (A - I, F_1); NaN F_L if S_L overflows.
 
     The pair (A^m, S_m) composes over the binary digits of L: doubling takes
     (A, S) to (A^2, S + A^T S A), and a digit adds S_m <- S_m + (A^m)^T S A^m.
@@ -331,8 +332,8 @@ def _gap_map(drift: np.ndarray, amp: np.ndarray, length: int):
     """
     eye = np.eye(4)
     if length == 1:
-        return eye + drift, amp
-    d, s = drift, amp.T @ amp  # A - I and S over 2^j steps
+        return eye + drift, factor
+    d, s = drift, factor.T @ factor  # A - I and S over 2^j steps
     power, cov = eye, np.zeros((4, 4))  # A^m and S_m over the digits taken
     while length:
         if length & 1:
@@ -347,10 +348,9 @@ def _gap_map(drift: np.ndarray, amp: np.ndarray, length: int):
 
 def _gap_maps(dn: DriftNoise, cfg: SimConfig, output_steps: np.ndarray) -> dict:
     """{L: :func:`_gap_map` of L} for each distinct gap length L between ``output_steps``."""
-    drift = -(dn.theta * cfg.dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(cfg.dt)  # the driven rows p1, p2 of sigma
     with np.errstate(over="ignore", invalid="ignore"):
-        return {gap: _gap_map(drift, amp, gap) for gap in set(np.diff(output_steps).tolist())}
+        drift, factor = _base_step(dn, cfg.dt)
+        return {gap: _gap_map(drift, factor, gap) for gap in set(np.diff(output_steps).tolist())}
 
 
 class _Layout(NamedTuple):
@@ -556,7 +556,6 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     from them) does; a one-trajectory ensemble's NaN spreads are not an
     overflow.
     """
-    _check_step_size(dn, cfg)
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
     chunks = [
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
@@ -624,7 +623,6 @@ def sample_trajectory(dn: DriftNoise, cfg: SimConfig, index: int):
     O(min(n_trajectories, CHUNK_TRAJECTORIES) x outputs), not O(steps); an
     overflow is reported only when this row overflows.
     """
-    _check_step_size(dn, cfg)
     if not 0 <= index < cfg.n_trajectories:
         raise ValueError(f"index {index} outside [0, {cfg.n_trajectories})")
     output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())

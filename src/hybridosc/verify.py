@@ -34,8 +34,8 @@ def monte_carlo_rows(dn: DriftNoise, solved: np.ndarray, seed: int, n_trajectori
     """Run an ensemble from the Lyapunov covariance ``solved``; return its config and three
     rows' (name, value, bound).
 
-    The ensemble follows the forward scheme's own law, whose mean and covariance
-    at the end :func:`sde.em_moments` gives from theta, Q and dt alone.
+    The ensemble follows the scheme's own law, whose mean and covariance
+    at the end :func:`sde.em_moments` composes from the one-step pair alone.
     ``monte_carlo_mean`` and ``monte_carlo_cov`` are -log10 p of the final
     sample mean (chi-squared, 4 degrees of freedom) and sample covariance
     (chi-squared, 10) against that law (:func:`sde.moment_screen`); a bound of

@@ -64,14 +64,6 @@ def draw_stable(rng: np.random.Generator, log_uniform: bool = False) -> SystemPa
     )
 
 
-def dt_excess(dn, dt: float) -> float:
-    """The forward scheme's stationary variance excess, about rho / (1 - rho) relative,
-    with rho = max over modes mu of theta of |mu|^2 dt / (2 Re mu)."""
-    mu = np.linalg.eigvals(dn.theta)
-    rho = float(np.max(np.abs(mu) ** 2 * dt / (2 * mu.real)))
-    return rho / (1 - rho)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

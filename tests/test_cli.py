@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import pytest
 
@@ -314,9 +315,6 @@ _REJECTED_INPUTS = {
     "output_is_directory": ["-o", "TMP", "stability"],
     "zero_correlator_points": ["-o", "TMP/c.csv", "correlators", "--points", "0"],
     "nan_correlator_t_max": ["correlators", "--t-max", "nan"],
-    "unstable_step_size": [
-        "-o", "TMP/s.csv", "simulate", "--dt", "2", "--t-final", "4", "--n-trajectories", "4",
-    ],
 }
 
 
@@ -343,10 +341,11 @@ _NUMERICAL_REFUSALS = {
     # (lam/m2)^2 underflows to 0: the certificate fails, both routes refuse
     "coupling_squared_underflow": ["steadystate", "--lambda", "1e-170"],
     "cq_induced_diffusion_overflow": ["cq", "--D", "1e-320"],
-    # undamped at dt = 0.09: the 1e5-step gap's noise covariance overflows
-    "gap_noise_overflow": ["simulate", "--alpha", "0", "--lambda", "0", "--dt", "0.09",
-                           "--t-final", "18000", "--output-stride", "100000",
-                           "--n-trajectories", "2"],
+    # free particles at D2 = 1e300: the 5000-step gap's noise covariance, about
+    # D2 T^3 / 3 in q2 at T = 2500, overflows while the states would stay finite
+    "gap_noise_overflow": ["simulate", "--k1", "0", "--k2", "0", "--alpha", "0", "--lambda", "0",
+                           "--D2", "1e300", "--dt", "0.5", "--t-final", "10000",
+                           "--output-stride", "5000", "--n-trajectories", "2"],
 }
 
 
@@ -369,12 +368,43 @@ def test_numerical_refusal_exits_3(argv, capsys, recwarn):
         ("closed_form_coupling_squared_zero", "OverflowError: closed-form covariances leave the"
          " float range at coupling 1e-162"),
         ("cq_induced_diffusion_overflow", "OverflowError: induced diffusion lam^2/(4 D) overflows"),
-        ("gap_noise_overflow", "NumericalOverflow: trajectory 0 overflowed near t = 9000\n"),
+        ("gap_noise_overflow", "NumericalOverflow: trajectory 0 overflowed near t = 2500\n"),
     ],
 )
 def test_numerical_refusal_names_its_cause(key, cause, capsys):
     assert run_cli(_NUMERICAL_REFUSALS[key]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith(f"numerical failure: {cause}")
+
+
+def _simulate_without_warnings(tmp_path, argv):
+    # run simulate with warnings as errors; return its exit code and the CSV's last row
+    import warnings
+
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["-o", str(out), "simulate", *argv])
+    lines = out.read_text().splitlines()
+    return code, dict(zip(lines[0].split(","), map(float, lines[-1].split(","))))
+
+
+def test_simulate_runs_at_any_step_size(tmp_path):
+    # dt = 2 is past forward Euler's stability limit; the exact flow runs
+    code, last = _simulate_without_warnings(
+        tmp_path, ["--dt", "2", "--t-final", "4", "--n-trajectories", "4"])
+    assert code == EXIT_OK
+    assert last["t"] == 4.0 and all(map(math.isfinite, last.values()))
+
+
+def test_weak_coupling_long_run_exits_0(tmp_path):
+    # lam = 0.01 to t = 20000 at the default dt = 1e-3, where forward Euler's
+    # chain diverged (var_q2 4.4e10 against the moment flow's 4310.78)
+    code, last = _simulate_without_warnings(tmp_path, [
+        "--lambda", "0.01", "--t-final", "20000", "--n-trajectories", "200",
+        "--output-stride", "5000000",
+    ])
+    assert code == EXIT_OK
+    assert last["t"] == 20000.0 and all(map(math.isfinite, last.values()))
 
 
 def test_moments_that_leave_the_float_range_exit_3_without_a_csv(tmp_path, capsys, recwarn):

@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridosc import (
     CQParams,
@@ -7,6 +12,7 @@ from hybridosc import (
     SystemParams,
     TradeoffViolation,
     assemble_drift_noise,
+    closed_form_covariances,
     correlators_exact,
     gibbs_covariances,
     hybrid_correlators,
@@ -104,6 +110,45 @@ def test_occupation_diverges_at_low_temperature():
     t_c = 1e-4
     occ = occupation_number(natural_cq(diffusion=2.0 * t_c))
     assert occ.n == pytest.approx(1.0 / (4 * t_c), rel=1e-3)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    masses_springs=st.tuples(*[st.floats(0.3, 3.0)] * 4),
+    damping=st.floats(0.1, 2.0),
+    diffusion=_log_uniform(1e-3, 10.0),
+    coupling=_log_uniform(1e-3, 1.0),
+)
+def test_uncertainty_relation_holds_at_saturation(masses_springs, damping, diffusion, coupling):
+    # the trade-off saturated, D0 = 1/(4 D), keeps the quantum oscillator's
+    # stationary state physical: its symplectic eigenvalue nu is at least 1/2
+    # (nu - 1/2 = N_exact >= 0), the uncertainty relation in Williamson form.
+    # The smallest nu over 2000 random pairs of this box was 0.5004
+    m_c, k_c, m_q, k_q = masses_springs
+    cq = CQParams(
+        classical_mass=m_c, classical_spring=k_c, damping=damping, diffusion=diffusion,
+        quantum_mass=m_q, quantum_spring=k_q, coupling=coupling,
+    )
+    assert occupation_exact(cq) >= 0
+
+
+def test_induced_diffusion_is_what_keeps_the_uncertainty_relation():
+    # the unit pair at D = 1, lam = 0.1: nu = 0.611 with the induced diffusion
+    # D2 = lam^2 / (4 D) of map_to_classical, and 0.479 < 1/2 without it (the
+    # classical pair with D2 = 0); 1469 of 2000 random pairs of the box above
+    # fall below 1/2 that way
+    cq = natural_cq(coupling=0.1, diffusion=1.0)
+    assert occupation_exact(cq) + 0.5 == pytest.approx(0.611, abs=1e-3)
+    pair = map_to_classical(cq)
+    undriven = dataclasses.replace(pair.osc2, diffusion=0.0)
+    bare = closed_form_covariances(dataclasses.replace(pair, osc2=undriven))
+    nu = math.sqrt(bare[2, 2] * bare[3, 3])
+    assert nu == pytest.approx(0.479, abs=1e-3)
+    assert nu < 0.5
 
 
 def test_keldysh_route_documented_discrepancy():

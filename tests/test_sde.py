@@ -16,7 +16,7 @@ from hybridosc import (
     total_energy,
 )
 
-from conftest import dt_excess, make_params
+from conftest import make_params
 
 
 def test_noise_stream_partition_invariance():
@@ -213,14 +213,16 @@ def test_group_size_does_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
-    # the runaway of test_overflow_detected from scattered starts: the paths
-    # leave the float range about 2390 outputs in, far past the first group,
-    # and the trajectories go within a few outputs of each other, so the
-    # report must take the first bad output, then its first bad trajectory,
-    # as the per-step loop on the same stream finds them.  With two CPUs,
-    # AHEAD_NORMALS lowered to 0 and fills of 6 x 256 normals (the run takes
-    # 27 of them) the helper thread drawing ahead must have ended when the
-    # error is raised
+    # free particles move exactly q <- q + p dt, so momenta of about 1e150
+    # drawn from the start's Gaussian take the positions out of the float
+    # range at outputs set by each trajectory's momentum: trajectory 5 near
+    # step 2246, far past the first group, then trajectories 4 and 0 within a
+    # few hundred steps (the sums over trajectories leave it earlier, with
+    # every state finite).  So the report must take the first bad output,
+    # then its first bad trajectory, as the per-gap loop on the same stream
+    # finds them, with no RuntimeWarning.  With two CPUs, AHEAD_NORMALS
+    # lowered to 0 and fills of 6 x 256 normals (the run takes 24 of them)
+    # the helper thread drawing ahead must have ended when the error is raised
     import threading
 
     from hybridosc import sde
@@ -228,20 +230,21 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
     monkeypatch.setattr(sde, "FILL_NORMALS", 6 * 256)
-    runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
+    runaway = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0))
     cfg = SimConfig(
-        dt=0.9, t_final=3000.0, n_trajectories=6, seed=7,
-        initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1.0, 1e-6, 1.0]), output_stride=1,
+        dt=5e154, t_final=3000 * 5e154, n_trajectories=6, seed=7,
+        initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1e300, 1e-6, 1e300]), output_stride=1,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~np.isfinite(_per_gap_em(runaway, cfg, range(6))).all(axis=-1)
     step, row = np.argwhere(bad)[0]
-    assert step > 2000
+    assert step > 2000 and row > 0
     messages = []
     for group in (1, 3, 16):
         monkeypatch.setattr(sde, "GROUP_OUTPUTS", group)
         before = threading.active_count()
-        with pytest.warns(UserWarning, match="discretisation bias"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NumericalOverflow) as caught:
                 simulate_ensemble(runaway, cfg)
         assert threading.active_count() == before
@@ -253,8 +256,8 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
 def _per_gap_em(dn, cfg, indices):
     # the scheme one gap between outputs at a time, z <- z A^L + zeta F_L with the
     # maps of sde._gap_maps, on the chunk's stream: an (n, 4) block for a Gaussian
-    # start, then an (n, k) block per gap.  At stride 1 every gap is the forward
-    # step z <- z (I - theta dt)^T + sqrt(dt) sigma eta on the driven rows
+    # start, then an (n, k) block per gap.  At stride 1 every gap is one step,
+    # z <- z A + eta F_1 with eta the (n, 2) block for the driven rows
     from hybridosc import sde
 
     assert indices.start % sde.CHUNK_TRAJECTORIES == 0 and len(indices) <= sde.CHUNK_TRAJECTORIES
@@ -280,8 +283,8 @@ def _close(got, want, rtol):
 
 @pytest.mark.parametrize("group", [1, 3, 16])
 def test_composed_pieces_match_per_step_loop(monkeypatch, group):
-    # every gap between outputs is one step, so the kernel takes the plain
-    # forward step and must follow the per-step loop sample by sample; 700
+    # every gap between outputs is one step, so the kernel takes the step
+    # itself and must follow the per-step loop sample by sample; 700
     # steps in 100-step noise blocks take seven fills of the chunk's stream, so
     # batches of steps end at fill ends as well as at group ends.  Longer gaps
     # are exact in law only (test_gap_map_matches_per_step_recursion and the
@@ -344,26 +347,34 @@ def test_strided_paths_match_per_gap_loop(monkeypatch, group):
     ids=["lam1e-3", "lam0.05", "lam1", "rank2"],
 )
 def test_gap_map_matches_per_step_recursion(params, length):
-    # A^L and S_L = sum_k (amp A^k)^T (amp A^k), the covariance of L steps'
-    # noise, against the forward step applied L times, at the dt of the
-    # acceptance Monte Carlo
+    # A^L and S_L = sum_k (F_1 A^k)^T (F_1 A^k), the covariance of L steps'
+    # noise, against the step applied L times, at the dt of the acceptance
+    # Monte Carlo
     power, cov, got_power, factor = _gap_map_and_loop(params, 5e-4, length)
     assert len(factor) == (2 if length == 1 else 4)
     assert _close(got_power, power, 1e-13)
     assert _close(factor.T @ factor, cov, 1e-12)
 
 
+def _scipy_step(dn, dt):
+    # the step's pair from scipy's expm, independent of the library's series:
+    # A = e^{-theta^T dt} and F_1 = sqrt(dt) amp e^{-theta^T dt / 2}
+    from scipy.linalg import expm
+
+    amp = np.sqrt(dn.diffusion_matrix[1::2] * dt)
+    return expm(-(dn.theta * dt).T), amp @ expm(-(dn.theta * dt / 2).T)
+
+
 def _gap_map_and_loop(params, dt, length):
     from hybridosc import sde
 
     dn = assemble_drift_noise(params)
-    step_t = np.eye(4) - (dn.theta * dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2] * dt)
+    step_t, amp = _scipy_step(dn, dt)
     power, cov = np.eye(4), np.zeros((4, 4))
     for _ in range(length):
         cov += (amp @ power).T @ (amp @ power)
         power = power @ step_t
-    return (power, cov, *sde._gap_map(-(dn.theta * dt).T, amp, length))
+    return (power, cov, *sde._gap_map(step_t - np.eye(4), amp, length))
 
 
 def test_gap_map_rounding_is_absolute_on_long_decays():
@@ -381,9 +392,11 @@ def test_stream_contract_four_normals_per_longer_gap():
     # free particles from a Gaussian start over 2L + 1 steps at stride L: the
     # start takes the chunk stream's first (n, 4) block, each L-step gap the
     # next (times F_L, a square root of S_L) and the final one-step gap an
-    # (n, 2) block, trajectory j reading row j of each.
-    # For a free particle q <- q + dt p, p <- p + sqrt(D dt) eta, so S_L is
-    # D dt [[dt^2 (L-1) L (2L-1) / 6, dt L (L-1) / 2], [dt L (L-1) / 2, L]]
+    # (n, 2) block times F_1, trajectory j reading row j of each.
+    # For a free particle q <- q + dt p, and the noise sqrt(D dt) eta enters p
+    # at the step's midpoint, so that k steps before the gap's end it has
+    # moved q by (k + 1/2) dt times itself: S_L is the sum over k < L,
+    # D dt [[dt^2 (L^3/3 - L/12), dt L^2 / 2], [dt L^2 / 2, L]]
     from hybridosc import sde
 
     diffusion, dt, length, seed, index = (4.0, 0.25), 1.0 / 64, 50, 13, 5
@@ -395,12 +408,11 @@ def test_stream_contract_four_normals_per_longer_gap():
     )
     _, path = sample_trajectory(dn, cfg, index)
 
-    drift = -(dn.theta * dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2] * dt)
-    power, factor = sde._gap_map(drift, amp, length)
+    maps = sde._gap_maps(dn, cfg, np.array([0, length, 2 * length, 2 * length + 1]))
+    power, factor = maps[length]
+    step, amp = maps[1]
     n = length
-    block = np.array([[dt**2 * (n - 1) * n * (2 * n - 1) / 6, dt * n * (n - 1) / 2],
-                      [dt * n * (n - 1) / 2, n]])
+    block = np.array([[dt**2 * (n**3 / 3 - n / 12), dt * n**2 / 2], [dt * n**2 / 2, n]])
     exact = np.zeros((4, 4))
     for k, d in enumerate(diffusion):
         exact[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = d * dt * block
@@ -412,8 +424,12 @@ def test_stream_contract_four_normals_per_longer_gap():
     want = [zeta[0] @ sde._gaussian_factor(cov0).T]
     want.append(want[-1] @ power + zeta[1] @ factor)
     want.append(want[-1] @ power + zeta[2] @ factor)
-    want.append(want[-1] @ (np.eye(4) + drift) + zeta[3] @ amp)
+    want.append(want[-1] @ step + zeta[3] @ amp)
     assert _close(path, np.array(want), 1e-14)
+    # the one step: A moves q by dt p, F_1 adds sqrt(D dt) eta to p and half a step of it to q
+    s1, s2 = np.sqrt(np.array(diffusion) * dt)
+    assert np.array_equal(step, np.eye(4) + np.kron(np.eye(2), [[0.0, 0.0], [dt, 0.0]]))
+    assert np.array_equal(amp, [[s1 * dt / 2, s1, 0.0, 0.0], [0.0, 0.0, s2 * dt / 2, s2]])
 
 
 # False-alarm level of each Monte Carlo screen below: a correct sampler fails
@@ -423,12 +439,11 @@ SCREEN_BOUND = -math.log10(SCREEN_LEVEL)
 
 
 def _em_moments(dn, cfg, mean, cov):
-    # the forward scheme's own mean and covariance at each output, step by
-    # step from (mean, cov): m <- m A, C <- A^T C A + amp^T amp, dt bias kept
+    # the scheme's own mean and covariance at each output, step by step from
+    # (mean, cov) with scipy's pair: m <- m A, C <- A^T C A + F_1^T F_1, dt bias kept
     from hybridosc import sde
 
-    step_t = np.eye(4) - (dn.theta * cfg.dt).T
-    amp = np.sqrt(dn.diffusion_matrix[1::2] * cfg.dt)
+    step_t, amp = _scipy_step(dn, cfg.dt)
     outputs = set(sde._output_steps(cfg.n_steps, cfg.resolved_stride()).tolist())
     means, covs = [], []
     for k in range(cfg.n_steps + 1):
@@ -490,9 +505,10 @@ def test_chi2_tail_stays_finite_where_the_tail_underflows():
 
 
 def test_strided_ensemble_follows_discrete_em_covariance():
-    # the ensemble follows the forward scheme's own moments (its dt bias
-    # kept), whose covariance at the end sits about 14 standard errors from
-    # the Lyapunov solution of the continuous process
+    # the ensemble follows the scheme's own moments (its dt bias kept), whose
+    # covariance at the end is within the step's stated bias, (gamma1 dt)^2 /
+    # 12 = 2.1e-4 here, of the Lyapunov solution of the continuous process
+    # (it reads 1.0e-4)
     from hybridosc import sde
 
     dn, cfg, mean0, cov0 = _strided_cold_start()
@@ -502,8 +518,7 @@ def test_strided_ensemble_follows_discrete_em_covariance():
     for k in (1, -1):
         mean, cov = sde.em_moments(dn, cfg.dt, steps[k], mean0, cov0)
         assert max(sde.moment_screen(stats, k, mean, cov)) < SCREEN_BOUND
-    lyapunov = solve_lyapunov(dn)
-    assert np.max(np.abs(stats.cov[-1] - lyapunov) / stats.cov_stderr[-1]) > 10.0
+    assert _close(cov, solve_lyapunov(dn), cfg.dt**2 / 12)
 
 
 def test_covariance_screen_level_holds_from_200_trajectories():
@@ -642,7 +657,8 @@ def test_zero_noise_zero_drift_constant_series():
 
 def test_deterministic_conservative_energy_constant():
     # no noise, no damping, no coupling: the initial displacement oscillates
-    # and the energy drifts only at O(dt) per step
+    # under the exact flow, so the energy moves only by rounding (1.8e-14,
+    # 3.5e-14 of it, over the 2000 steps)
     params = make_params(1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
     dn = assemble_drift_noise(params)
     dt = 1e-3
@@ -653,14 +669,13 @@ def test_deterministic_conservative_energy_constant():
     )
     _, path = sample_trajectory(dn, cfg, 0)
     energies = total_energy(params, path)
-    # growth factor per step is 1 + (w dt)^2
-    bound = energies[0] * ((1 + dt**2) ** n_steps - 1) * 1.1 + 1e-12
-    assert abs(energies[-1] - energies[0]) <= bound
+    assert np.max(np.abs(energies - energies[0])) <= n_steps * np.finfo(float).eps * energies[0]
 
 
 def test_stationary_ensemble_matches_lyapunov():
-    # from the Lyapunov solution the ensemble follows the forward scheme's own
-    # covariance, which moves off it only by the dt bias
+    # from the Lyapunov solution the ensemble follows the scheme's own
+    # covariance, which moves off it only by the step's bias, (gamma1 dt)^2 /
+    # 12 = 2.1e-6 here (it reads 1.0e-6)
     from hybridosc import sde
 
     params = SystemParams.natural_units(1.0)
@@ -672,7 +687,7 @@ def test_stationary_ensemble_matches_lyapunov():
     )
     stats = simulate_ensemble(dn, cfg)
     mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), cov)
-    assert _close(scheme, cov, dt_excess(dn, cfg.dt))
+    assert _close(scheme, cov, cfg.dt**2 / 12)
     assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
 
 
@@ -686,10 +701,11 @@ def test_cold_start_relaxes_to_lyapunov():
     min_rate = float(np.min(np.linalg.eigvals(dn.theta).real))
     cfg = SimConfig(dt=5e-3, t_final=15.0 / min_rate, n_trajectories=6000, seed=9)
     stats = simulate_ensemble(dn, cfg)
-    # the scheme's own covariance at the end is within its dt bias of Lyapunov,
-    # where the energy drift vanishes; the ensemble is screened against it
+    # the scheme's own covariance at the end is within the step's bias,
+    # (gamma1 dt)^2 / 12, of Lyapunov (it reads 1.0e-6), where the energy drift
+    # vanishes; the ensemble is screened against it
     mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), np.zeros((4, 4)))
-    assert _close(scheme, cov, dt_excess(dn, cfg.dt))
+    assert _close(scheme, cov, cfg.dt**2 / 12)
     assert abs(energy_drift(params, cov)) < 1e-12
     assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
     # the drift is linear in Var(p1), whose sample value has variance 2 Var(p1)^2 / (n - 1)
@@ -716,25 +732,92 @@ def test_energy_drift_formula():
     assert energy_drift(quiet, np.diag([0.0, 1.0, 0.0, 0.0])) < 0
 
 
-def test_step_size_hard_error_and_warning():
-    params = SystemParams.natural_units(0.3)
-    dn = assemble_drift_noise(params)
-    with pytest.raises(ValueError, match="unstable"):
-        simulate_ensemble(dn, SimConfig(dt=2.0, t_final=4.0, n_trajectories=2, seed=0))
-    with pytest.warns(UserWarning, match="discretisation bias"):
-        simulate_ensemble(dn, SimConfig(dt=0.2, t_final=2.0, n_trajectories=2, seed=0))
+@pytest.mark.parametrize("dt", [0.2, 2.0])
+def test_any_step_size_runs(dt):
+    # the flow contracts at every dt on a stable system, so a step far past
+    # forward Euler's limit runs with no warning and finite moments
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = simulate_ensemble(dn, SimConfig(dt=dt, t_final=2 * dt, n_trajectories=4, seed=0))
+    for name in _STATS_ARRAYS:
+        assert np.isfinite(getattr(stats, name)).all(), name
+
+
+def test_expm1_is_exact_for_free_particles():
+    # free particles have a nilpotent drift, theta^2 = 0, so the step is
+    # d = e^{-theta^T dt} - I = -theta^T dt bit for bit, at any scale of dt
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(make_params(3.0, 0.0, 0.0, 1.0, 0.7, 0.0, 1.0, 0.0))
+    for dt in (1e-3, 0.9, 1e153):
+        drift = -(dn.theta * dt).T
+        assert np.array_equal(sde._expm1(drift), drift)
+        assert np.array_equal(sde._base_step(dn, dt)[0], drift)
+
+
+@pytest.mark.parametrize("dt", [5e-4, 0.1, 10.0])
+@pytest.mark.parametrize("lam", [1e-3, 0.05, 1.0])
+def test_base_step_matches_scipy_expm(lam, dt):
+    # the pair every gap map and em_moments start from, (e^{-theta^T dt} - I,
+    # sqrt(dt) amp e^{-theta^T dt / 2}), against scipy's expm
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(lam, d1=1.5, d2=0.7))
+    step_t, factor = _scipy_step(dn, dt)
+    drift, got = sde._base_step(dn, dt)
+    assert _close(drift, step_t - np.eye(4), 1e-11)
+    assert _close(got, factor, 1e-11)
+
+
+@pytest.mark.parametrize(
+    "lam, gamma1, dt, measured",
+    [(0.05, 1.0, 1e-3, 8.3e-8), (0.3, 1.0, 1e-2, 8.3e-6), (2.0, 1.0, 1e-3, 8.3e-8),
+     (1e-3, 1.0, 1e-3, 1.1e-7), (0.3, 3.0, 1e-3, 7.5e-7)],
+)
+def test_stationary_bias_of_the_step(lam, gamma1, dt, measured):
+    # the chain's stationary covariance, C = A^T C A + F_1^T F_1 on the
+    # library's pair (scipy's discrete Lyapunov solver), against the closed
+    # form S, worst entry over sqrt(S_ii S_jj): about (gamma1 dt)^2 / 12, and
+    # at most 2e-7 at dt = 1e-3 and gamma1 = 1 for every coupling
+    from scipy.linalg import solve_discrete_lyapunov
+
+    from hybridosc import closed_form_covariances, sde
+
+    params = SystemParams.natural_units(lam, damping_rate=gamma1)
+    drift, factor = sde._base_step(assemble_drift_noise(params), dt)
+    chain = solve_discrete_lyapunov((np.eye(4) + drift).T, factor.T @ factor)
+    exact = closed_form_covariances(params)
+    bias = np.max(np.abs(chain - exact) / np.sqrt(np.outer(np.diag(exact), np.diag(exact))))
+    assert measured / 2 <= bias <= 2 * measured
+    if dt == 1e-3 and gamma1 == 1.0:
+        assert bias <= 2e-7
+
+
+def test_weak_coupling_long_run_matches_the_moment_flow():
+    # lam = 0.01 at dt = 1e-3 from rest to t = 20000, where forward Euler's
+    # chain diverged (var_q2 4.45e10): the scheme's covariance after 2e7
+    # steps is that of the moment flow (var_q2 4310.78) within 1e-5
+    from hybridosc import evolve_moments, sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(0.01))
+    _, scheme = sde.em_moments(dn, 1e-3, 20_000_000, np.zeros(4), np.zeros((4, 4)))
+    _, flow = evolve_moments(dn, np.zeros((4, 4)), np.zeros(4), np.array([0.0, 20000.0]))
+    assert _close(scheme, flow[-1], 1e-5)
 
 
 def test_overflow_detected():
-    # forward Euler grows an undamped oscillator by sqrt(1 + dt^2) per step:
-    # at dt = 0.9 the path leaves the float range near t = 2150
-    runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
+    # a free particle moves exactly q <- q + p dt: from p1 = 1e305 at dt = 0.9,
+    # q1 passes the largest float (1.798e308) at step 1998, t = 1798.2; the
+    # unit noise is far below the last bit of p1
+    runaway = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0))
     cfg = SimConfig(
         dt=0.9, t_final=3000.0, n_trajectories=1, seed=0,
-        initial_state=np.array([1.0, 0.0, 0.0, 0.0]),
+        initial_state=np.array([0.0, 1e305, 0.0, 0.0]), output_stride=1,
     )
-    with pytest.warns(UserWarning, match="discretisation bias"):
-        with pytest.raises(NumericalOverflow, match="near t = 2"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match="^trajectory 0 overflowed near t = 1798.2$"):
             sample_trajectory(runaway, cfg, 0)
 
 
@@ -774,20 +857,21 @@ def test_moments_that_overflow_late_name_their_first_output():
 
 
 def test_overflowing_gap_map_is_reported_at_its_output():
-    # undamped forward Euler at dt = 0.5 grows by sqrt(1 + dt^2) per step.  The
-    # 5000-step gap's noise covariance grows like the square of A^L and leaves
-    # the float range at the first output, t = 2500, while the states alone
-    # would not overflow before the second.  The report is NumericalOverflow,
-    # with no linear-algebra error and no RuntimeWarning on the way
-    runaway = assemble_drift_noise(SystemParams.natural_units(0.0, damping_rate=0.0))
+    # a free particle's position variance grows like D T^3 / 3: at D2 = 1e300
+    # the 5000-step gap's noise covariance (T = 2500) leaves the float range
+    # in q2, while the states it would move, about its square root, stay
+    # finite.  The report is NumericalOverflow at the first output, with no
+    # linear-algebra error and no RuntimeWarning on the way
+    runaway = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1e300, 0.0))
     cfg = SimConfig(
         dt=0.5, t_final=10000.0, n_trajectories=3, seed=7,
         initial_state=np.zeros(4), output_stride=5000,
     )
-    with pytest.warns(UserWarning, match="discretisation bias") as record:
-        with pytest.raises(NumericalOverflow, match="near t = 2500$"):
+    assert 1e300 * 2500.0**3 / 3 > np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match="^trajectory 0 overflowed near t = 2500$"):
             simulate_ensemble(runaway, cfg)
-    assert [w.category for w in record] == [UserWarning]
 
 
 def test_config_validation():
