@@ -32,8 +32,8 @@ _EXPORTS = {
         "assemble_drift_noise", "characteristic_polynomial",
     ),
     "sde": (
-        "EnsembleStats", "SimConfig", "em_moments", "energy_drift", "moment_screen",
-        "sample_trajectory", "simulate_ensemble", "total_energy",
+        "EnsembleStats", "SimConfig", "energy_drift", "moment_screen", "sample_trajectory",
+        "scheme_moments", "simulate_ensemble", "total_energy",
     ),
     "spectral": (
         "CorrelatorTable", "GreensFrequency", "PoleSet", "correlation_coefficient",

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import NumericalOverflow, SingularSystem
 from .model import DriftNoise, SystemParams, energy_weight_matrix
-from .steadystate import _affine_power, validate_covariance
+from .steadystate import _expm1, validate_covariance
 
 # trajectories per chunk, each with one noise stream: part of the reproducibility contract
 CHUNK_TRAJECTORIES = 1024
@@ -215,16 +215,28 @@ def energy_drift(params: SystemParams, cov: np.ndarray) -> float:
     )
 
 
-def em_moments(dn: DriftNoise, dt: float, n_steps: int, mean: np.ndarray, cov: np.ndarray):
+def _affine_power(d, b, x, n: int) -> np.ndarray:
+    """``x`` after ``n`` maps x <- x + d x + b, squared as (d, b) <- (2d + d^2, 2b + d b);
+    carrying d rather than I + d keeps slow decays from rounding to 1."""
+    while n > 0:
+        if n & 1:
+            x = x + (d @ x + b)
+        n >>= 1
+        if n:
+            d, b = 2 * d + d @ d, 2 * b + d @ b
+    return x
+
+
+def scheme_moments(dn: DriftNoise, dt: float, n_steps: int, mean: np.ndarray, cov: np.ndarray):
     """The scheme's exact (mean, covariance) ``n_steps`` steps on from (``mean``, ``cov``).
 
     In column form a step maps m <- (I + e) m and C <- (I + e) C (I + e)^T +
     F_1^T F_1, with e = e^{-theta dt} - I and F_1 the step of
     :func:`_base_step`, so the scheme's dt bias is kept.  The n maps compose
-    by squaring (:func:`hybridosc.steadystate._affine_power`) on m and on
-    vec C, whose map less the identity is e (x) e + e (x) I + I (x) e.  This
-    shares the one-step pair with the gap maps the ensemble moves by, but not
-    their doubling; the test suite checks that pair against scipy's expm.
+    by squaring (:func:`_affine_power`) on m and on vec C, whose map less the
+    identity is e (x) e + e (x) I + I (x) e.  This shares the one-step pair
+    with the gap maps the ensemble moves by, but not their doubling; the test
+    suite checks that pair against scipy's expm.
     """
     drift, factor = _base_step(dn, dt)
     step, eye = drift.T, np.eye(4)
@@ -261,7 +273,7 @@ def moment_screen(stats: EnsembleStats, k: int, mean: np.ndarray, cov: np.ndarra
     and its level holds from about n = 200 trajectories: one step from the
     Lyapunov state at lam = 0.4 it fired on 24, 13, 8, 4 and 3 of 2000 seeds
     at n = 20, 50, 100, 200 and 500, where 2 are expected.  ``mean`` and
-    ``cov`` are the law the states follow, such as :func:`em_moments`.
+    ``cov`` are the law the states follow, such as :func:`scheme_moments`.
     """
     n = stats.n_trajectories
     delta = stats.mean[k] - mean
@@ -294,24 +306,6 @@ def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray
         out, row = np.argwhere(~np.isfinite(states).all(axis=-1))[0]
         raise NumericalOverflow(f"trajectory {indices[row]} overflowed near t = {times[out]:.6g}")
     return states
-
-
-def _expm1(a: np.ndarray) -> np.ndarray:
-    """e^a - I of a square matrix ``a`` (NaN if ``a`` is not finite), kept off 1 for small a:
-    the Taylor series at x = a / 2^s, 1-norm at most 1/2, summed until a term leaves the sum
-    unchanged, then s doublings d <- 2d + d^2, as in :func:`_gap_map`.  A nilpotent ``a``
-    (a^2 = 0) comes back exactly."""
-    norm = np.abs(a).sum(axis=0).max()
-    if not np.isfinite(norm):
-        return np.full_like(a, np.nan)
-    s = max(0, math.frexp(norm)[1] + 1)  # 2^s >= 2 norm
-    x = np.ldexp(a, -s)
-    d, term, k = x, x, 2
-    while not (d + (term := term @ x / k) == d).all():
-        d, k = d + term, k + 1
-    for _ in range(s):
-        d = 2 * d + d @ d
-    return d
 
 
 def _base_step(dn: DriftNoise, dt: float):

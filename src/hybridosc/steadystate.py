@@ -7,16 +7,20 @@ Three independent routes to the same object:
   dependency-free).
 * :func:`closed_form_covariances` evaluates the analytic solution of that
   equation for this model, entry by entry.
-* :func:`evolve_moments` integrates the moment ODEs
+* :func:`evolve_moments` follows the moment ODEs
   dC/dt = -theta C - C theta^T + sigma sigma^T, dmu/dt = -theta mu
-  by RK4, whose fixed point is the same for stable systems.  Its n steps
-  compose by squaring in O(log2 n) 16x16 products, however slow the
-  relaxation (coupling range of the 1e-8 tolerance: :func:`evolve_moments`).
+  by their exact flow, whose late-time limit is the same for stable systems.
+  Each span is one matrix exponential (:func:`_expm1`, which the ensemble
+  step of :mod:`hybridosc.sde` shares), taken in O(log2 span) doublings
+  however slow the relaxation (coupling range of the 1e-8 tolerance:
+  :func:`evolve_moments`).
 
 Agreement of the three routes is the backbone of the test suite.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -165,43 +169,34 @@ def closed_form_covariances(params: SystemParams) -> np.ndarray:
     return cov
 
 
-def _affine_power(d, b, x, n: int) -> np.ndarray:
-    """``x`` after ``n`` maps x <- x + d x + b, squared as (d, b) <- (2d + d^2, 2b + d b);
-    carrying d rather than I + d keeps slow decays from rounding to 1."""
-    while n > 0:
-        if n & 1:
-            x = x + (d @ x + b)
-        n >>= 1
-        if n:
-            d, b = 2 * d + d @ d, 2 * b + d @ b
-    return x
+def _expm1(a: np.ndarray) -> np.ndarray:
+    """e^a - I of a square matrix ``a``, or of each matrix of a stack (..., n, n) (NaN if ``a``
+    is not finite), kept off 1 for small a: the Taylor series at x = a / 2^s, 1-norm at most
+    1/2 (one s for the whole stack, set by its largest norm), summed until a term leaves every
+    sum unchanged, then s doublings d <- 2d + d^2.  A nilpotent ``a`` (a^2 = 0) comes back
+    exactly."""
+    norm = np.abs(a).sum(axis=-2).max()
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    s = max(0, math.frexp(norm)[1] + 1)  # 2^s >= 2 norm
+    x = np.ldexp(a, -s)
+    d, term, k = x, x, 2
+    while not (d + (term := term @ x / k) == d).all():
+        d, k = d + term, k + 1
+    for _ in range(s):
+        d = 2 * d + d @ d
+    return d
 
 
-def _rk4_power(gen, force, x, h, n_steps: int) -> np.ndarray:
-    """``x`` after ``n_steps`` RK4 steps of size ``h`` of dx/dt = gen x + force: d = hG s and
-    b = h s force, s = I + hG/2 + (hG)^2/6 + (hG)^3/24.  A batch has ``h`` of shape (n, 1, 1)."""
-    hg = h * gen
-    eye = np.eye(gen.shape[-1])
-    s = eye + hg @ (eye + hg @ (eye + hg / 4) / 3) / 2
-    return _affine_power(hg @ s, h * (s @ force[..., None]), x[..., None], n_steps)[..., 0]
+def evolve_moments(dn: DriftNoise, cov0: np.ndarray, mean0: np.ndarray, t_grid: np.ndarray):
+    """The first and second moments on ``t_grid`` by the exact flow of their ODEs.
 
-
-def evolve_moments(
-    dn: DriftNoise,
-    cov0: np.ndarray,
-    mean0: np.ndarray,
-    t_grid: np.ndarray,
-    max_step: float | None = None,
-):
-    """Integrate the first and second moment ODEs on ``t_grid``.
-
-    Fixed-step RK4 between grid points; the n steps of an interval compose
-    by squaring in about 2 log2(n) products.  For a linear constant system
-    the RK4 fixed point coincides with the exact stationary moments, so
-    ``max_step`` (default 0.25 / max|eigenvalue|) sets trajectory accuracy,
-    not run time, without biasing the late-time limit.  Rounding grows with
-    the squarings: run from zero to 15 / min Re(eig) in natural units, the
-    covariance is within 1e-8 of the closed form for 1e-4 <= lam <= 1e4.
+    Each span h between grid points moves the mean by m <- m + (e^{-theta h} - I) m
+    and the covariance by :func:`evolve_covariances_batch` as a batch of one, both
+    through :func:`_expm1`, so a span of any length is one exact step up to
+    rounding.  Rounding grows with the series' doublings, about log2 of the span
+    times the fastest rate: run from zero to 15 / min Re(eig) in natural units,
+    the covariance is within 1e-8 of the closed form for 1e-4 <= lam <= 1e4.
 
     Returns
     -------
@@ -214,17 +209,9 @@ def evolve_moments(
         raise ValueError("t_grid must be strictly increasing with at least one point")
     covs = [validate_covariance(np.array(cov0, dtype=float))]
     means = [np.array(mean0, dtype=float).reshape(4)]
-
-    theta_scale = float(np.max(np.abs(np.linalg.eigvals(theta))))
-    if max_step is None:
-        max_step = 0.25 / theta_scale if theta_scale > 0 else np.inf
-    if max_step <= 0:
-        raise ValueError("max_step must be positive")
-
     for span in np.diff(t_grid):
-        n_sub = max(1, int(np.ceil(span / max_step)))
-        means.append(_rk4_power(-theta, np.zeros(4), means[-1], span / n_sub, n_sub))
-        covs.append(evolve_covariances_batch(theta[None], q, [span], n_sub, covs[-1][None])[0])
+        means.append(means[-1] + _expm1(-theta * span) @ means[-1])
+        covs.append(evolve_covariances_batch(theta[None], q, [span], covs[-1][None])[0])
     return np.array(means), np.array(covs)
 
 
@@ -232,24 +219,27 @@ def evolve_covariances_batch(
     thetas: np.ndarray,
     diffusions: np.ndarray,
     t_final: np.ndarray,
-    n_steps: int,
     cov0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """RK4 of dC/dt = -theta C - C theta^T + Q over a batch, symmetrised once at the end.
+    """The exact flow of dC/dt = -theta C - C theta^T + Q over a batch, symmetrised at the end.
 
     Each system b goes from ``cov0[b]`` (zero if omitted) to its own
-    ``t_final[b]`` in ``n_steps`` equal steps, composed by :func:`_rk4_power`
-    on vec C with the 16x16 generator -(theta (x) I + I (x) theta).  Used by
-    sweep studies and the acceptance checks; :func:`evolve_moments` evolves
-    its covariance as a batch of one.
+    ``t_final[b]`` = t in one affine map of vec C, vec C <- vec C + d vec C + b,
+    read off one :func:`_expm1` of the stack of augmented generators
+    t [[G, vec Q], [0, 0]], G = -(theta (x) I + I (x) theta): d = e^{G t} - I and
+    b = t phi1(G t) vec Q, phi1(x) = (e^x - 1) / x.  Used by sweep studies and
+    the acceptance checks; :func:`evolve_moments` evolves its covariance as a
+    batch of one.
     """
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.shape[0]
     eye = np.eye(4)
     # vec convention: (A @ X @ B.T).ravel() == kron(A, B) @ X.ravel()
     gen = np.einsum("nik,jl->nijkl", thetas, eye) + np.einsum("ik,njl->nijkl", eye, thetas)
-    h = np.asarray(t_final, dtype=float).reshape(n, 1, 1) / n_steps
-    vec0 = np.zeros((n, 16)) if cov0 is None else np.asarray(cov0, dtype=float).reshape(n, 16)
-    q = np.asarray(diffusions, dtype=float).reshape(n, 16)
-    cov = _rk4_power(-gen.reshape(n, 16, 16), q, vec0, h, n_steps).reshape(n, 4, 4)
+    aug = np.zeros((n, 17, 17))
+    aug[:, :16, :16] = -gen.reshape(n, 16, 16)
+    aug[:, :16, 16] = np.asarray(diffusions, dtype=float).reshape(n, 16)
+    flow = _expm1(np.asarray(t_final, dtype=float).reshape(n, 1, 1) * aug)
+    vec0 = np.zeros((n, 16, 1)) if cov0 is None else np.asarray(cov0, dtype=float).reshape(n, 16, 1)
+    cov = (vec0 + (flow[:, :16, :16] @ vec0 + flow[:, :16, 16:])).reshape(n, 4, 4)
     return 0.5 * (cov + np.swapaxes(cov, 1, 2))

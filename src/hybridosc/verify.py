@@ -35,7 +35,7 @@ def monte_carlo_rows(dn: DriftNoise, solved: np.ndarray, seed: int, n_trajectori
     rows' (name, value, bound).
 
     The ensemble follows the scheme's own law, whose mean and covariance
-    at the end :func:`sde.em_moments` composes from the one-step pair alone.
+    at the end :func:`sde.scheme_moments` composes from the one-step pair alone.
     ``monte_carlo_mean`` and ``monte_carlo_cov`` are -log10 p of the final
     sample mean (chi-squared, 4 degrees of freedom) and sample covariance
     (chi-squared, 10) against that law (:func:`sde.moment_screen`); a bound of
@@ -51,7 +51,7 @@ def monte_carlo_rows(dn: DriftNoise, solved: np.ndarray, seed: int, n_trajectori
         initial_mean=np.zeros(4), initial_cov=solved,
     )
     stats = sde.simulate_ensemble(dn, cfg)
-    mean, cov = sde.em_moments(dn, cfg.dt, cfg.n_steps, cfg.initial_mean, solved)
+    mean, cov = sde.scheme_moments(dn, cfg.dt, cfg.n_steps, cfg.initial_mean, solved)
     mean_screen, cov_screen = sde.moment_screen(stats, -1, mean, cov)  # -log10 p each
     diag = np.diag(solved)
     se = np.sqrt((np.outer(diag, diag) + solved**2) / (n_trajectories - 1))

@@ -220,8 +220,8 @@ _VERIFY_ROWS = (
 
 
 def test_verify_passes_at_tiny_coupling(tmp_path):
-    # the moment-flow row relaxes over ~1e8 RK4 steps here, which the flow composes by
-    # squaring; the Monte Carlo rows fail one seed in about 300 (the rate test below)
+    # the moment-flow row relaxes over a span of 3e7 here, one exact step of the flow;
+    # the Monte Carlo rows fail one seed in about 300 (the rate test below)
     out = tmp_path / "verify.json"
     code = run_cli(["-o", str(out), "verify", "--lambda", "1e-3", "--mc-trajectories", "200"])
     payload = json.loads(out.read_text())
@@ -256,7 +256,7 @@ def test_verify_monte_carlo_rows_fail_at_most_one_seed_in_forty():
 
 def test_verify_monte_carlo_cov_catches_a_transposed_gap_factor(monkeypatch):
     # F_L^T in place of F_L moves the samples' covariance off the scheme's law,
-    # which em_moments builds from theta, Q and dt without the gap maps
+    # which scheme_moments builds from theta, Q and dt without the gap maps
     from hybridosc import sde
 
     gap_map = sde._gap_map

@@ -236,7 +236,7 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
         initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1e300, 1e-6, 1e300]), output_stride=1,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(_per_gap_em(runaway, cfg, range(6))).all(axis=-1)
+        bad = ~np.isfinite(_per_gap_scheme(runaway, cfg, range(6))).all(axis=-1)
     step, row = np.argwhere(bad)[0]
     assert step > 2000 and row > 0
     messages = []
@@ -253,7 +253,7 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     assert messages[0] == f"trajectory {row} overflowed near t = {step * cfg.dt:.6g}"
 
 
-def _per_gap_em(dn, cfg, indices):
+def _per_gap_scheme(dn, cfg, indices):
     # the scheme one gap between outputs at a time, z <- z A^L + zeta F_L with the
     # maps of sde._gap_maps, on the chunk's stream: an (n, 4) block for a Gaussian
     # start, then an (n, k) block per gap.  At stride 1 every gap is one step,
@@ -299,7 +299,7 @@ def test_composed_pieces_match_per_step_loop(monkeypatch, group):
         dt=1e-2, t_final=7.0, n_trajectories=40, seed=21,
         initial_state=np.array([1.0, -0.5, 0.3, 0.8]), output_stride=1,
     )
-    ref = _per_gap_em(dn, cfg, range(cfg.n_trajectories))
+    ref = _per_gap_scheme(dn, cfg, range(cfg.n_trajectories))
     assert len(ref) == 701
 
     stats = simulate_ensemble(dn, cfg)
@@ -328,7 +328,7 @@ def test_strided_paths_match_per_gap_loop(monkeypatch, group):
     )
     output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
     assert np.diff(output_steps).tolist() == [10] * 10 + [1]
-    ref = _per_gap_em(dn, cfg, range(cfg.n_trajectories))
+    ref = _per_gap_scheme(dn, cfg, range(cfg.n_trajectories))
 
     maps, got = sde._gap_maps(dn, cfg, output_steps), np.empty_like(ref)
     for k0, states in sde._steps(cfg, range(cfg.n_trajectories), output_steps, maps):
@@ -438,7 +438,7 @@ SCREEN_LEVEL = 1e-3
 SCREEN_BOUND = -math.log10(SCREEN_LEVEL)
 
 
-def _em_moments(dn, cfg, mean, cov):
+def _scheme_moments(dn, cfg, mean, cov):
     # the scheme's own mean and covariance at each output, step by step from
     # (mean, cov) with scipy's pair: m <- m A, C <- A^T C A + F_1^T F_1, dt bias kept
     from hybridosc import sde
@@ -483,11 +483,11 @@ def test_em_moments_match_per_step_loop(case):
     from hybridosc import sde
 
     dn, cfg, mean0, cov0 = case()
-    means, covs = _em_moments(dn, cfg, mean0, cov0)
+    means, covs = _scheme_moments(dn, cfg, mean0, cov0)
     steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
     assert len(steps) == len(covs)
     for step, mean, cov in zip(steps.tolist(), means, covs):
-        got_mean, got_cov = sde.em_moments(dn, cfg.dt, step, mean0, cov0)
+        got_mean, got_cov = sde.scheme_moments(dn, cfg.dt, step, mean0, cov0)
         assert _close(got_mean, mean, 1e-12)
         assert _close(got_cov, cov, 1e-12)
 
@@ -504,7 +504,7 @@ def test_chi2_tail_stays_finite_where_the_tail_underflows():
             assert sde._chi2_tail(x, dof) == pytest.approx((h - log_sum) / math.log(10), rel=1e-13)
 
 
-def test_strided_ensemble_follows_discrete_em_covariance():
+def test_strided_ensemble_follows_the_scheme_covariance():
     # the ensemble follows the scheme's own moments (its dt bias kept), whose
     # covariance at the end is within the step's stated bias, (gamma1 dt)^2 /
     # 12 = 2.1e-4 here, of the Lyapunov solution of the continuous process
@@ -516,7 +516,7 @@ def test_strided_ensemble_follows_discrete_em_covariance():
     steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
     assert len(steps) == len(stats.times) == 17
     for k in (1, -1):
-        mean, cov = sde.em_moments(dn, cfg.dt, steps[k], mean0, cov0)
+        mean, cov = sde.scheme_moments(dn, cfg.dt, steps[k], mean0, cov0)
         assert max(sde.moment_screen(stats, k, mean, cov)) < SCREEN_BOUND
     assert _close(cov, solve_lyapunov(dn), cfg.dt**2 / 12)
 
@@ -533,7 +533,7 @@ def test_covariance_screen_level_holds_from_200_trajectories():
     dn = assemble_drift_noise(SystemParams.natural_units(0.4))
     cov = solve_lyapunov(dn)
     start = dict(dt=1e-3, t_final=1e-3, n_trajectories=200, initial_mean=np.zeros(4), initial_cov=cov)
-    mean, scheme = sde.em_moments(dn, 1e-3, 1, np.zeros(4), cov)
+    mean, scheme = sde.scheme_moments(dn, 1e-3, 1, np.zeros(4), cov)
     values = np.array([
         sde.moment_screen(simulate_ensemble(dn, SimConfig(seed=seed, **start)), -1, mean, scheme)[1]
         for seed in range(1000)
@@ -686,7 +686,7 @@ def test_stationary_ensemble_matches_lyapunov():
         initial_mean=np.zeros(4), initial_cov=cov,
     )
     stats = simulate_ensemble(dn, cfg)
-    mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), cov)
+    mean, scheme = sde.scheme_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), cov)
     assert _close(scheme, cov, cfg.dt**2 / 12)
     assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
 
@@ -704,7 +704,7 @@ def test_cold_start_relaxes_to_lyapunov():
     # the scheme's own covariance at the end is within the step's bias,
     # (gamma1 dt)^2 / 12, of Lyapunov (it reads 1.0e-6), where the energy drift
     # vanishes; the ensemble is screened against it
-    mean, scheme = sde.em_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), np.zeros((4, 4)))
+    mean, scheme = sde.scheme_moments(dn, cfg.dt, cfg.n_steps, np.zeros(4), np.zeros((4, 4)))
     assert _close(scheme, cov, cfg.dt**2 / 12)
     assert abs(energy_drift(params, cov)) < 1e-12
     assert max(sde.moment_screen(stats, -1, mean, scheme)) < SCREEN_BOUND
@@ -747,19 +747,19 @@ def test_any_step_size_runs(dt):
 def test_expm1_is_exact_for_free_particles():
     # free particles have a nilpotent drift, theta^2 = 0, so the step is
     # d = e^{-theta^T dt} - I = -theta^T dt bit for bit, at any scale of dt
-    from hybridosc import sde
+    from hybridosc import sde, steadystate
 
     dn = assemble_drift_noise(make_params(3.0, 0.0, 0.0, 1.0, 0.7, 0.0, 1.0, 0.0))
     for dt in (1e-3, 0.9, 1e153):
         drift = -(dn.theta * dt).T
-        assert np.array_equal(sde._expm1(drift), drift)
+        assert np.array_equal(steadystate._expm1(drift), drift)
         assert np.array_equal(sde._base_step(dn, dt)[0], drift)
 
 
 @pytest.mark.parametrize("dt", [5e-4, 0.1, 10.0])
 @pytest.mark.parametrize("lam", [1e-3, 0.05, 1.0])
 def test_base_step_matches_scipy_expm(lam, dt):
-    # the pair every gap map and em_moments start from, (e^{-theta^T dt} - I,
+    # the pair every gap map and scheme_moments start from, (e^{-theta^T dt} - I,
     # sqrt(dt) amp e^{-theta^T dt / 2}), against scipy's expm
     from hybridosc import sde
 
@@ -797,13 +797,14 @@ def test_stationary_bias_of_the_step(lam, gamma1, dt, measured):
 def test_weak_coupling_long_run_matches_the_moment_flow():
     # lam = 0.01 at dt = 1e-3 from rest to t = 20000, where forward Euler's
     # chain diverged (var_q2 4.45e10): the scheme's covariance after 2e7
-    # steps is that of the moment flow (var_q2 4310.78) within 1e-5
+    # steps is that of the exact moment flow (var_q2 4310.78) within 1e-9
+    # (it reads 1.9e-11)
     from hybridosc import evolve_moments, sde
 
     dn = assemble_drift_noise(SystemParams.natural_units(0.01))
-    _, scheme = sde.em_moments(dn, 1e-3, 20_000_000, np.zeros(4), np.zeros((4, 4)))
+    _, scheme = sde.scheme_moments(dn, 1e-3, 20_000_000, np.zeros(4), np.zeros((4, 4)))
     _, flow = evolve_moments(dn, np.zeros((4, 4)), np.zeros(4), np.array([0.0, 20000.0]))
-    assert _close(scheme, flow[-1], 1e-5)
+    assert _close(scheme, flow[-1], 1e-9)
 
 
 def test_overflow_detected():

@@ -288,7 +288,7 @@ def test_evolve_moments_decay_rate_matches_slowest_mode():
     n_periods = max(1, int(round(150.0 / period)))
     t_grid = 1000.0 + np.arange(5) * n_periods * period
     t_grid = np.concatenate([[0.0], t_grid])
-    _, covs = evolve_moments(dn, np.zeros((4, 4)), np.zeros(4), t_grid, max_step=0.4)
+    _, covs = evolve_moments(dn, np.zeros((4, 4)), np.zeros(4), t_grid)
     dev = np.log(np.abs(covs[1:, 2, 2] - target[2, 2]))
     slope = np.polyfit(t_grid[1:], dev, 1)[0]
     assert slope == pytest.approx(-2.0 * rate, rel=0.05)
@@ -298,11 +298,11 @@ def test_evolve_moments_mean_decay():
     params = SystemParams.natural_units(0.5)
     dn = assemble_drift_noise(params)
     mean0 = np.array([1.0, 0.0, -0.5, 0.2])
-    means, _ = evolve_moments(dn, np.zeros((4, 4)), mean0, np.array([0.0, 1.0]), max_step=1e-3)
+    means, _ = evolve_moments(dn, np.zeros((4, 4)), mean0, np.array([0.0, 1.0]))
     from scipy.linalg import expm
 
     expected = expm(-dn.theta * 1.0) @ mean0
-    np.testing.assert_allclose(means[-1], expected, atol=1e-10)
+    np.testing.assert_allclose(means[-1], expected, atol=1e-13)
 
 
 def test_momentum_variance_identity_all_routes():
@@ -314,47 +314,87 @@ def test_momentum_variance_identity_all_routes():
 
 
 def test_batch_of_one_equals_evolve_moments_bitwise():
-    # both routes step the covariance with the same RK4 kernel
+    # both routes step the covariance with the same exponential of the augmented generator
     from hybridosc.steadystate import evolve_covariances_batch
 
     params = make_params(1.2, 0.9, 0.7, 1.3, 0.8, 1.1, 0.6, 0.45)
     dn = assemble_drift_noise(params)
     cov0 = np.diag([0.3, 0.1, 0.2, 0.4])
-    t_end, max_step = 7.3, 0.05
-    _, covs = evolve_moments(dn, cov0, np.zeros(4), np.array([0.0, t_end]), max_step=max_step)
-    n_steps = int(np.ceil(t_end / max_step))
+    t_end = 7.3
+    _, covs = evolve_moments(dn, cov0, np.zeros(4), np.array([0.0, t_end]))
     batch = evolve_covariances_batch(
-        dn.theta[None], dn.diffusion_matrix[None], np.array([t_end]), n_steps, cov0[None]
+        dn.theta[None], dn.diffusion_matrix[None], np.array([t_end]), cov0[None]
     )
     assert np.array_equal(batch[0], covs[-1])
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 64, 1000])
-def test_flow_composes_explicit_rk4_steps(n_steps):
-    # the flow composes steps by the binary digits of n_steps; the reference takes them one by one
+def _augmented_flow(dn, span):
+    # scipy's exponential of the 17x17 generator span [[G, vec Q], [0, 0]] of
+    # (vec C, 1), G = -(theta (x) I + I (x) theta)
+    from scipy.linalg import expm
+
+    eye = np.eye(4)
+    gen = np.zeros((17, 17))
+    gen[:16, :16] = -(np.kron(dn.theta, eye) + np.kron(eye, dn.theta))
+    gen[:16, 16] = dn.diffusion_matrix.ravel()
+    return expm(span * gen)
+
+
+def test_flow_matches_scipy_expm_on_a_non_uniform_grid():
+    # from a nonzero mean and start covariance, spans from 1e-3 to 40 are each
+    # one exact step: span by span, the covariance against the exponential of
+    # the augmented generator and the mean against expm(-theta h), relative to
+    # the span's start, since scipy's 4x4 expm itself is off by up to 8e-14 of
+    # its unit scale at these spans (against 40-digit arithmetic; the flow's
+    # series by 2e-15)
+    from scipy.linalg import expm
+
     dn = assemble_drift_noise(make_params(1.2, 0.9, 0.7, 1.3, 0.8, 1.1, 0.6, 0.45))
-    theta, q = dn.theta, dn.diffusion_matrix
-    h = 1 / 32  # a power of two, so the span n_steps * h splits into exactly n_steps steps
-    mean, cov = np.array([1.0, 0.0, -0.5, 0.2]), np.diag([0.3, 0.1, 0.2, 0.4])
-    means, covs = evolve_moments(dn, cov, mean, np.array([0.0, n_steps * h]), max_step=h)
+    t_grid = np.array([0.0, 1e-3, 0.25, 0.3, 2.0, 7.5, 47.5])
+    means, covs = evolve_moments(dn, np.diag([0.3, 0.1, 0.2, 0.4]), np.array([1.0, 0.0, -0.5, 0.2]), t_grid)
+    for k, span in enumerate(np.diff(t_grid), 1):
+        mean = expm(-dn.theta * span) @ means[k - 1]
+        cov = (_augmented_flow(dn, span) @ np.append(covs[k - 1].ravel(), 1.0))[:16].reshape(4, 4)
+        assert np.max(np.abs(means[k] - mean)) <= 1e-13 * np.max(np.abs(means[k - 1]))
+        assert np.max(np.abs(covs[k] - cov)) <= 1e-13 * np.max(np.abs(cov))
 
-    def rk4(rhs, x):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    for _ in range(n_steps):
-        mean = rk4(lambda m: -theta @ m, mean)
-        cov = rk4(lambda c: -theta @ c - c @ theta.T + q, cov)
-    assert np.max(np.abs(means[-1] - mean)) <= 1e-13 * np.max(np.abs(mean))
-    assert np.max(np.abs(covs[-1] - cov)) <= 1e-13 * np.max(np.abs(cov))
+def test_free_particles_spread_as_the_closed_form():
+    # k = alpha = lam = 0: theta is nilpotent and its scale is zero, so the
+    # flow's series ends after a few terms.  From rest, q = int_0^t p and
+    # p = sqrt(D) W_t give Var q = D t^3 / 3, Cov(q, p) = D t^2 / 2 and
+    # Var p = D t for each unit-mass particle
+    d1, d2, t = 1.3, 0.7, 1e3
+    dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, d1, 1.0, 0.0, d2, 0.0))
+    _, covs = evolve_moments(dn, np.zeros((4, 4)), np.zeros(4), np.array([0.0, t]))
+    expected = np.zeros((4, 4))
+    for i, d in ((0, d1), (2, d2)):
+        expected[i : i + 2, i : i + 2] = d * np.array([[t**3 / 3, t**2 / 2], [t**2 / 2, t]])
+    np.testing.assert_allclose(covs[-1], expected, rtol=1e-13, atol=0)
+
+
+def test_stacked_expm1_matches_scipy_slice_by_slice():
+    # one scaling for the whole stack, set by its largest norm: each slice is
+    # still e^A - I, here for slices whose norms differ by six decades, in a
+    # 4x4 stack and a 17x17 one.  The strongly damped slice, e^A near 0, is not
+    # the first: scaled for the first slice alone, it would be off by 1.8e-8
+    from scipy.linalg import expm
+
+    from hybridosc.steadystate import _expm1
+
+    rng = np.random.default_rng(5)
+    for n in (4, 17):
+        stack = rng.standard_normal((4, n, n)) * np.array([1e-5, 1e-2, 0.3, 3.0])[:, None, None]
+        stack[2] -= 20 * np.eye(n)
+        got = _expm1(stack)
+        for a, d in zip(stack, got):
+            want = expm(a) - np.eye(n)
+            assert np.max(np.abs(d - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("lam", [1e-3, 1e-4])
 def test_evolve_moments_reaches_closed_form_at_tiny_coupling(lam):
-    # relaxing takes ~lam^-2 steps; composing them keeps the run short and within the 1e-8 tolerance
+    # relaxing takes a span of ~lam^-2, one step of the exact flow, within the 1e-8 tolerance
     params = SystemParams.natural_units(lam)
     dn = assemble_drift_noise(params)
     t_relax = 15.0 / float(np.min(np.linalg.eigvals(dn.theta).real))
