@@ -254,12 +254,16 @@ def _cmd_verify(args, config) -> int:
     report = {
         "parameters": params.to_dict(),
         "checks": [check._asdict() for check in checks],
-        "passed": all(check.passed for check in checks),
+        # a skipped row neither passes nor fails
+        "passed": all(check.passed for check in checks if check.skipped is None),
     }
-    for name, value, bound, passed in checks:
-        sys.stderr.write(
-            f"[{'PASS' if passed else 'FAIL'}] {name}: {value:.6g} (bound {bound:.6g})\n"
-        )
+    for name, value, bound, passed, skipped in checks:
+        if skipped is not None:
+            sys.stderr.write(f"[SKIP] {name}: {skipped}\n")
+        else:
+            sys.stderr.write(
+                f"[{'PASS' if passed else 'FAIL'}] {name}: {value:.6g} (bound {bound:.6g})\n"
+            )
     _emit(_json_dump(report), args.output)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 

@@ -204,19 +204,43 @@ def test_verify_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     names = {c["name"] for c in payload["checks"]}
-    assert {"closed_form_vs_lyapunov", "perturbative_cubic_scaling",
-            "monte_carlo_cov", "scheme_bias_vs_lyapunov", "thermal_deviation_high_diffusion"} <= names
+    assert {"certificate_vs_spectrum", "closed_form_vs_lyapunov", "perturbative_cubic_scaling",
+            "monte_carlo_cov", "scheme_bias_vs_lyapunov", "occupation_exact_vs_lyapunov"} <= names
 
 
 _VERIFY_ROWS = (
-    "stability_certificate_agreement", "charpoly_vs_eigenvalues", "closed_form_vs_lyapunov",
+    "charpoly_vs_eigenvalues", "certificate_vs_spectrum", "closed_form_vs_lyapunov",
     "moment_flow_vs_lyapunov", "greens_vs_numeric_inverse", "pole_reflection_structure",
     "residue_equal_time_vs_lyapunov", "perturbative_cubic_scaling", "small_lambda_g22",
-    "sigma_ratio_vs_residue", "mutual_information_zero", "monte_carlo_mean", "monte_carlo_cov",
-    "scheme_bias_vs_lyapunov", "trajectory_determinism", "occupation_minimum", "occupation_floor",
-    "hybrid_equal_time_vs_lyapunov", "hybrid_correlators_finite_at_zero_coupling",
-    "thermal_deviation_monotone", "thermal_deviation_high_diffusion",
+    "sigma_ratio_vs_residue", "monte_carlo_mean", "monte_carlo_cov", "scheme_bias_vs_lyapunov",
+    "hybrid_equal_time_vs_lyapunov", "occupation_exact_vs_lyapunov",
 )
+
+
+def test_verify_skips_no_row_at_the_defaults(tmp_path):
+    out = tmp_path / "verify.json"
+    assert run_cli(["-o", str(out), "verify"]) == EXIT_OK
+    checks = json.loads(out.read_text())["checks"]
+    assert tuple(c["name"] for c in checks) == _VERIFY_ROWS
+    assert all(c["skipped"] is None and c["passed"] is True for c in checks)
+
+
+def test_verify_skips_the_cq_rows_without_classical_diffusion(tmp_path, capsys):
+    # D1 = 0 maps to no CQ pair; a skipped row neither passes nor fails
+    out = tmp_path / "verify.json"
+    assert run_cli(["-o", str(out), "verify", "--D1", "0", "--mc-trajectories", "200"]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    rows = {c["name"]: c for c in payload["checks"]}
+    assert tuple(rows) == _VERIFY_ROWS
+    skipped = {name: row for name, row in rows.items() if row["skipped"] is not None}
+    assert tuple(skipped) == ("hybrid_equal_time_vs_lyapunov", "occupation_exact_vs_lyapunov")
+    err = capsys.readouterr().err
+    for name, row in skipped.items():
+        assert "D1 = 0" in row["skipped"]
+        assert row["value"] is None and row["passed"] is None
+        assert f"[SKIP] {name}: {row['skipped']}\n" in err
+    assert all(row["passed"] for name, row in rows.items() if name not in skipped)
+    assert payload["passed"] is True
 
 
 def test_verify_passes_at_tiny_coupling(tmp_path):
@@ -239,7 +263,7 @@ def _tiny_coupling_rows(seeds):
     solved = solve_lyapunov(dn)
     # per seed, {name: (value, bound)} of the Monte Carlo rows at 200 trajectories
     return [
-        {name: (value, bound) for name, value, bound in verify.monte_carlo_rows(dn, solved, seed, 200)[1]}
+        {name: (value, bound) for name, value, bound in verify.monte_carlo_rows(dn, solved, seed, 200)}
         for seed in seeds
     ]
 

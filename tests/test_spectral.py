@@ -377,12 +377,18 @@ def test_sigma_ratio_carries_frequency_factor():
 # mutual information
 
 
-def test_information_zero_at_quarter_period():
-    params = SystemParams.natural_units(0.05)
-    t = np.pi / 2  # omega = 1
-    assert mutual_information(params, (2, 2), t) == pytest.approx(0.0, abs=1e-12)
+# the natural units and two systems off them, as the `hybrid-osc verify` flags
+# `--m1 2 --k2 0.5` and `--alpha 0.3`
+@pytest.mark.parametrize(
+    "m1, alpha, k2", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.0, 0.3, 1.0)],
+    ids=["natural_units", "m1_2_k2_half", "alpha_0.3"],
+)
+def test_information_zero_at_quarter_period(m1, alpha, k2):
+    params = make_params(m1, 1.0, alpha, 1.0, 1.0, k2, 1.0, 0.05)
+    w2 = params.osc2.frequency
+    assert mutual_information(params, (2, 2), np.pi / 2 / w2) == pytest.approx(0.0, abs=1e-12)
     r = correlation_coefficient(params, (2, 2), np.array([0.3, 1.1]))
-    np.testing.assert_allclose(r, np.cos([0.3, 1.1]), rtol=1e-12)
+    np.testing.assert_allclose(r, np.cos(w2 * np.array([0.3, 1.1])), rtol=1e-12)
 
 
 def test_information_diverges_at_equal_times():
