@@ -43,10 +43,13 @@ belongs to the chunk's trajectory j.  So the output steps and
 together and the merge order); ``FILL_NORMALS`` and ``GROUP_OUTPUTS`` bound
 memory only.  One thread steps the chunks in order, and each chunk's moments,
 arrays over all output steps, are merged into the running total with Chan's
-pairwise update as it finishes.  Where a second CPU is usable and a fill
-holds at least ``AHEAD_NORMALS`` normals, one helper thread draws the next
-fill of noise into the other of two fill buffers meanwhile; the results are
-bitwise identical with it or without it.
+pairwise update as it finishes.  Each call lays out its outputs, gap maps
+and fills once (:func:`_plan`) and draws through one noise source
+(:func:`_noise`): where a second CPU is usable, the call takes more than one
+fill and a fill holds at least ``AHEAD_NORMALS`` normals, one helper thread
+draws the next fill into the other of two fill buffers meanwhile, for
+:func:`simulate_ensemble` and :func:`sample_trajectory` alike; the results
+are bitwise identical with it or without it.
 """
 
 from __future__ import annotations
@@ -293,13 +296,6 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)
 
 
-def _output_steps(n_steps: int, stride: int) -> np.ndarray:
-    steps = np.arange(0, n_steps + 1, stride)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
-    return steps
-
-
 def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray:
     """``states`` (g, n, 4) at output ``times``; name the earliest output's first bad trajectory."""
     if not np.isfinite(states).all():
@@ -340,46 +336,54 @@ def _gap_map(drift: np.ndarray, factor: np.ndarray, length: int):
     return power, _gaussian_factor(cov).T if np.isfinite(cov).all() else np.full((4, 4), np.nan)
 
 
-def _gap_maps(dn: DriftNoise, cfg: SimConfig, output_steps: np.ndarray) -> dict:
-    """{L: :func:`_gap_map` of L} for each distinct gap length L between ``output_steps``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift, factor = _base_step(dn, cfg.dt)
-        return {gap: _gap_map(drift, factor, gap) for gap in set(np.diff(output_steps).tolist())}
-
-
-class _Layout(NamedTuple):
-    """What every chunk of one call shares: the gap lengths between outputs, where each gap's
+class _Plan(NamedTuple):
+    """What every chunk of one call shares: the output steps and times, the map of each
+    distinct gap length (:func:`_gap_map`), the gap lengths between outputs, where each gap's
     normals end per trajectory, a fill's width per trajectory and the start's square root."""
 
+    steps: np.ndarray
+    times: np.ndarray
+    maps: dict
     gaps: list
     ends: list
     width: int
     start: np.ndarray | None
 
 
-def _layout(cfg: SimConfig, output_steps: np.ndarray) -> _Layout:
-    gaps = np.diff(output_steps)
+def _plan(dn: DriftNoise, cfg: SimConfig) -> _Plan:
+    steps = np.arange(0, cfg.n_steps + 1, cfg.resolved_stride())
+    if steps[-1] != cfg.n_steps:
+        steps = np.append(steps, cfg.n_steps)
+    gaps = np.diff(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift, factor = _base_step(dn, cfg.dt)
+        maps = {gap: _gap_map(drift, factor, gap) for gap in set(gaps.tolist())}
     ends = (4 if cfg.initial_mean is not None else 0) + np.cumsum(np.where(gaps == 1, 2, 4))
     # FILL_NORMALS over the first (largest) chunk's rows, room for the start and one gap
     # at least, never more than a trajectory uses
     width = int(min(max(FILL_NORMALS // min(cfg.n_trajectories, CHUNK_TRAJECTORIES), 8), ends[-1]))
     start = None if cfg.initial_mean is None else _gaussian_factor(cfg.initial_cov)
-    return _Layout(gaps.tolist(), ends.tolist(), width, start)
+    return _Plan(steps, steps * cfg.dt, maps, gaps.tolist(), ends.tolist(), width, start)
 
 
-def _draws(seed: int, chunks: list, ends: list, width: int, buffers: list, pool=None):
-    """Yield (lo, hi, noise) per fill of each chunk (c, n) in turn; ``noise`` holds its normals.
+@contextlib.contextmanager
+def _noise(seed: int, chunks: list, plan: _Plan):
+    """Enter to get an iterator of (lo, hi, noise) per fill of each chunk (a range of
+    trajectories) in turn; ``noise`` holds the fill's normals.
 
     The stream of chunk c, ``SFC64(SeedSequence(seed mod 2**64, spawn_key=(c,)))``,
     is gap-major: the block of a gap whose normals end at ``end`` (per
-    trajectory, see :func:`_layout`) with k of them is the (n, k) array at
+    trajectory, in ``plan.ends``) with k of them is the (n, k) array at
     n * (end - k), row j for the chunk's trajectory j.  A fill holds the
-    whole gaps in normals lo .. hi - 1 per trajectory, at most ``width`` of
-    them, and is one call, which releases the interpreter lock; ``noise``
-    stays valid until the next fill is asked for.  Without a ``pool`` each
-    fill is drawn when asked for, into ``buffers[0]``.  With a ``pool`` of
-    one worker, the next fill of the sequence is drawn there, into the other
-    of two ``buffers``, while the caller works on this one.
+    whole gaps in normals lo .. hi - 1 per trajectory, at most ``plan.width``
+    of them, and is one call, which releases the interpreter lock; ``noise``
+    stays valid until the next fill is asked for.  Where the chunks take
+    more than one fill, the largest (the first chunk's) holds at least
+    ``AHEAD_NORMALS`` normals and a second CPU is usable, one helper thread
+    draws the next fill into the other of two buffers while the caller
+    works on this one; otherwise each fill is drawn when asked for, into
+    one buffer.  The helper thread has ended when the ``with`` block is
+    left, by return or by raise.
     """
 
     def draw(rng, n, lo, hi, noise):
@@ -389,54 +393,59 @@ def _draws(seed: int, chunks: list, ends: list, width: int, buffers: list, pool=
 
     def jobs():
         entropy = int(seed) % (1 << 64)
-        for chunk, n in chunks:
-            stream = np.random.SeedSequence(entropy, spawn_key=(chunk,))
+        for chunk in chunks:
+            stream = np.random.SeedSequence(entropy, spawn_key=(chunk.start // CHUNK_TRAJECTORIES,))
             rng = np.random.Generator(np.random.SFC64(stream))
             lo = 0
             while lo < ends[-1]:
                 hi = ends[bisect.bisect_right(ends, lo + width) - 1]
-                yield rng, n, lo, hi
+                yield rng, len(chunk), lo, hi
                 lo = hi
 
-    if pool is None:
-        for job in jobs():
-            yield draw(*job, buffers[0])
+    def ahead(pool, buffers):
+        todo = jobs()
+        pending = pool.submit(draw, *next(todo), buffers[0])
+        for k, job in enumerate(todo, 1):
+            # the caller asks for fill k - 1, so it is done with fill k - 2 in buffers[k % 2]
+            current, pending = pending, pool.submit(draw, *job, buffers[k % 2])
+            yield current.result()
+        yield pending.result()
+
+    ends, width = plan.ends, plan.width
+    fill = len(chunks[0]) * width  # normals in the largest fill
+    several = len(chunks) > 1 or width < ends[-1]  # a call of one fill has nothing to draw ahead
+    if not (several and fill >= AHEAD_NORMALS and _usable_cpus() > 1):
+        buffer = np.empty(fill)
+        yield (draw(*job, buffer) for job in jobs())
         return
-    todo = jobs()
-    ahead = pool.submit(draw, *next(todo), buffers[0])
-    for k, job in enumerate(todo, 1):
-        # the caller asks for fill k - 1, so it is done with fill k - 2 in buffers[k % 2]
-        current, ahead = ahead, pool.submit(draw, *job, buffers[k % 2])
-        yield current.result()
-    yield ahead.result()
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: a few ms of every start
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield ahead(pool, np.empty((2, fill)))
 
 
-def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict, layout=None, fills=None):
+def _steps(cfg: SimConfig, indices: range, plan: _Plan, fills):
     """Step chunk ``indices`` together, one row each; yield (k0, states) per group.
 
     ``states`` (g, n, 4) holds outputs k0 .. k0 + g - 1, g <= GROUP_OUTPUTS, as a view of a
-    component-major (g, 4, n) array that the next group overwrites.  ``layout`` is
-    :func:`_layout`'s and ``fills`` an iterator of :func:`_draws` whose next fills are the
-    chunk's; by default the chunk draws its own.  Each gap is one move of its map in ``maps``
-    (:func:`_gap_maps`), taken in batches: a run of m consecutive gaps of one length whose
+    component-major (g, 4, n) array that the next group overwrites.  ``fills`` is an iterator
+    of :func:`_noise` whose next fills are the chunk's.  Each gap is one move of its map in
+    ``plan.maps``, taken in batches: a run of m consecutive gaps of one length whose
     noise lies in the current fill and that fit in the group's free slots gets its noise terms
     from one product into those slots, then each slot adds A^L times the previous state in
     turn.  Addition commutes, so every state is z A^L + zeta F_L bit for bit, and
     ``FILL_NORMALS`` and ``GROUP_OUTPUTS`` bound memory only.  Rows that overflow are left to
     the caller."""
-    gaps, ends, width, start = _layout(cfg, output_steps) if layout is None else layout
+    gaps, ends, maps = plan.gaps, plan.ends, plan.maps
     n = len(indices)
-    if fills is None:
-        chunk = indices.start // CHUNK_TRAJECTORIES
-        fills = _draws(cfg.seed, [(chunk, n)], ends, width, [np.empty(n * width)])
     lo, hi, noise = next(fills)
 
-    group = np.empty((min(GROUP_OUTPUTS, len(output_steps)), 4, n))
+    group = np.empty((min(GROUP_OUTPUTS, len(plan.steps)), 4, n))
     rows = group.transpose(0, 2, 1)
     if cfg.initial_state is not None:
         rows[0] = np.asarray(cfg.initial_state, dtype=float)
-    elif start is not None:
-        rows[0] = np.asarray(cfg.initial_mean, dtype=float) + noise[: 4 * n].reshape(n, 4) @ start.T
+    elif plan.start is not None:
+        rows[0] = np.asarray(cfg.initial_mean, dtype=float) + noise[: 4 * n].reshape(n, 4) @ plan.start.T
     else:
         group[0] = 0.0
     z = group[0]
@@ -464,9 +473,7 @@ def _steps(cfg: SimConfig, indices: range, output_steps: np.ndarray, maps: dict,
         yield k0, rows[:g]
 
 
-def _run_chunk(
-    cfg: SimConfig, output_steps: np.ndarray, maps: dict, layout: _Layout, fills, indices: range,
-):
+def _run_chunk(cfg: SimConfig, plan: _Plan, fills, indices: range):
     """One block of trajectories' (count, mean, m2) at every output step, m2 the sum of
     centred outer products.
 
@@ -474,18 +481,17 @@ def _run_chunk(
     with a non-finite sum is searched (:func:`_finite`) for the first bad
     output and trajectory; sums that overflow from finite states are left to
     the caller."""
-    n, n_out = len(indices), len(output_steps)
-    times = output_steps * cfg.dt
+    n, n_out = len(indices), len(plan.steps)
     mean, m2 = np.empty((n_out, 4)), np.empty((n_out, 4, 4))
     ones = np.ones(n)
     centred = np.empty((min(GROUP_OUTPUTS, n_out), 4, n))
-    for k0, rows in _steps(cfg, indices, output_steps, maps, layout, fills):
+    for k0, rows in _steps(cfg, indices, plan, fills):
         g = len(rows)
         out = slice(k0, k0 + g)
         states = rows.transpose(0, 2, 1)  # (g, 4, n), contiguous
         sums = states @ ones
         if not np.isfinite(sums).all():
-            _finite(rows, indices, times[k0:])
+            _finite(rows, indices, plan.times[k0:])
         mean[out] = sums / n
         np.subtract(states, mean[out, :, None], out=centred[:g])
         m2[out] = centred[:g] @ centred[:g].transpose(0, 2, 1)
@@ -528,10 +534,11 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     mask), the call takes more than one fill of noise and a fill holds at
     least ``AHEAD_NORMALS`` normals, one helper thread draws the next fill,
     chunk after chunk, into the other of two fill buffers while the caller
-    steps the current one; otherwise each fill is drawn when it is needed,
-    into one buffer.  Below that size handing a fill to the helper costs
-    more than it saves, so a strided call of a few outputs (a dozen normals
-    per trajectory) draws inline and an every-step call draws ahead.  Drawing
+    steps the current one (:func:`_noise`, as for :func:`sample_trajectory`);
+    otherwise each fill is drawn when it is needed, into one buffer.  Below
+    that size handing a fill to the helper costs more than it saves, so a
+    strided call of a few outputs (a dozen normals per trajectory) draws
+    inline and an every-step call draws ahead.  Drawing
     releases the interpreter lock, while the many small products of stepping
     would contend for it, so the design uses at most two threads and does
     not scale to more cores.  The results are bitwise identical either way,
@@ -550,31 +557,15 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     from them) does; a one-trajectory ensemble's NaN spreads are not an
     overflow.
     """
-    output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
+    plan = _plan(dn, cfg)
     chunks = [
         range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
         for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
     ]
-    maps = _gap_maps(dn, cfg, output_steps)
-    layout = _layout(cfg, output_steps)
-    fill = len(chunks[0]) * layout.width  # normals in the largest fill
-    # a call of one fill has nothing to draw ahead
-    several = len(chunks) > 1 or layout.width < layout.ends[-1]
-    ahead = several and fill >= AHEAD_NORMALS and _usable_cpus() > 1
-    buffers = [np.empty(fill) for _ in range(2 if ahead else 1)]
-    pool = contextlib.nullcontext()
-    if ahead:  # imported here: concurrent.futures loads logging, a few ms of every start
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=1)
     # a sum of finite states can leave the float range: that is checked once, at the end
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pool as helper:
-            fills = _draws(
-                cfg.seed, [(c.start // CHUNK_TRAJECTORIES, len(c)) for c in chunks],
-                layout.ends, layout.width, buffers, helper,
-            )
-            run = functools.partial(_run_chunk, cfg, output_steps, maps, layout, fills)
+        with _noise(cfg.seed, chunks, plan) as fills:
+            run = functools.partial(_run_chunk, cfg, plan, fills)
             n, mean, m2 = functools.reduce(_merge, map(run, chunks))
 
         # the mean energy tr(W m2) / (2n) + m W m / 2, taken before m2 becomes cov: a
@@ -598,11 +589,10 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
         energy_var = 0.5 * np.einsum("kij,kji->k", wc, wc) + np.einsum("ki,kij,kj->k", mw, cov, mw)
         energy_stderr = np.sqrt(np.clip(energy_var, 0.0, None) / n)
 
-    times = output_steps * cfg.dt
     spreads = (cov, cov_stderr, mean_stderr, energy_stderr) if n > 1 else ()
-    _finite_moments(times, (mean, energy_mean, *spreads))
+    _finite_moments(plan.times, (mean, energy_mean, *spreads))
     return EnsembleStats(
-        times=times, mean=mean, mean_stderr=mean_stderr, cov=cov,
+        times=plan.times, mean=mean, mean_stderr=mean_stderr, cov=cov,
         cov_stderr=cov_stderr, energy_mean=energy_mean, energy_stderr=energy_stderr, n_trajectories=n,
     )
 
@@ -613,18 +603,22 @@ def sample_trajectory(dn: DriftNoise, cfg: SimConfig, index: int):
     Returns (times, states) sampled at the output stride.  The chunk that
     holds ``index`` is stepped as in :func:`simulate_ensemble`, one move per
     gap between outputs, and its row is returned, so the path is bitwise
-    identical to ensemble member ``index`` for any chunk size.  The cost is
-    O(min(n_trajectories, CHUNK_TRAJECTORIES) x outputs), not O(steps); an
-    overflow is reported only when this row overflows.
+    identical to ensemble member ``index`` for any chunk size.  Its noise is
+    drawn by the ensemble's rule: a chunk of more than one fill of at least
+    ``AHEAD_NORMALS`` normals draws the next fill on a helper thread where a
+    second CPU is usable, and that thread has ended when this function
+    returns or raises.  The cost is O(min(n_trajectories,
+    CHUNK_TRAJECTORIES) x outputs), not O(steps); an overflow is reported
+    only when this row overflows.
     """
     if not 0 <= index < cfg.n_trajectories:
         raise ValueError(f"index {index} outside [0, {cfg.n_trajectories})")
-    output_steps = _output_steps(cfg.n_steps, cfg.resolved_stride())
-    times = output_steps * cfg.dt
+    plan = _plan(dn, cfg)
     lo = index - index % CHUNK_TRAJECTORIES
     chunk, row = range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories)), index - lo
-    states = np.empty((len(output_steps), 4))
-    for k0, group in _steps(cfg, chunk, output_steps, _gap_maps(dn, cfg, output_steps)):
-        path = group[:, row : row + 1]
-        states[k0 : k0 + len(group)] = _finite(path, chunk[row : row + 1], times[k0:])[:, 0]
-    return times, states
+    states = np.empty((len(plan.steps), 4))
+    with _noise(cfg.seed, [chunk], plan) as fills:
+        for k0, group in _steps(cfg, chunk, plan, fills):
+            path = group[:, row : row + 1]
+            states[k0 : k0 + len(group)] = _finite(path, chunk[row : row + 1], plan.times[k0:])[:, 0]
+    return plan.times, states

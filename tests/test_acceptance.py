@@ -426,18 +426,21 @@ def test_criterion_10_energy_balance(monte_carlo_run):
     slope = (run.energy_mean[-1] - run.energy_mean[mid]) / span
     # the two means come from the same trajectories: the slope's standard error is that
     # of each trajectory's energy gain from t_mid to t_end, pooled over the run's chunks
-    steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
-    maps = sde._gap_maps(dn, cfg, steps)
-    ends = (mid, len(steps) - 1)
+    plan = sde._plan(dn, cfg)
+    ends = (mid, len(plan.steps) - 1)
+    chunks = [
+        range(lo, min(lo + sde.CHUNK_TRAJECTORIES, cfg.n_trajectories))
+        for lo in range(0, cfg.n_trajectories, sde.CHUNK_TRAJECTORIES)
+    ]
     gains = []
-    for lo in range(0, cfg.n_trajectories, sde.CHUNK_TRAJECTORIES):
-        chunk = range(lo, min(lo + sde.CHUNK_TRAJECTORIES, cfg.n_trajectories))
-        energy = {}
-        for k0, group in sde._steps(cfg, chunk, steps, maps):
-            for k in ends:
-                if k0 <= k < k0 + len(group):
-                    energy[k] = sde.total_energy(undamped, group[k - k0])
-        gains.append(energy[ends[1]] - energy[ends[0]])
+    with sde._noise(cfg.seed, chunks, plan) as fills:
+        for chunk in chunks:
+            energy = {}
+            for k0, group in sde._steps(cfg, chunk, plan, fills):
+                for k in ends:
+                    if k0 <= k < k0 + len(group):
+                        energy[k] = sde.total_energy(undamped, group[k - k0])
+            gains.append(energy[ends[1]] - energy[ends[0]])
     gains = np.concatenate(gains)
     assert np.mean(gains) == pytest.approx(slope * span, rel=1e-9)
     slope_se = np.std(gains, ddof=1) / np.sqrt(len(gains)) / span

@@ -243,6 +243,38 @@ def test_verify_skips_the_cq_rows_without_classical_diffusion(tmp_path, capsys):
     assert payload["passed"] is True
 
 
+# the rows verify skips where their routes cannot apply, each with a word of its reason
+_VERIFY_SKIPS = {
+    "defaults": ([], {}),
+    "no_classical_diffusion": (["--D1", "0"], dict.fromkeys(
+        ("hybrid_equal_time_vs_lyapunov", "occupation_exact_vs_lyapunov"), "D1 = 0")),
+    # the leading-order g22 leaves out the D1 term, and is identically 0 at D2 = 0
+    "undriven_oscillator_2": (["--D2", "0"], dict.fromkeys(
+        ("small_lambda_g22", "sigma_ratio_vs_residue"), "D2 = 0")),
+    # w1 = 0 < gamma1 / 2: the small-coupling forms refuse, and find_poles finds one pole
+    "overdamped": (["--alpha", "3", "--k1", "0"], {
+        "pole_reflection_structure": "ClassificationFailure: ",
+        "perturbative_cubic_scaling": "OverdampedUnsupported: ",
+        "small_lambda_g22": "OverdampedUnsupported: ",
+        "sigma_ratio_vs_residue": "OverdampedUnsupported: ",
+    }),
+}
+
+
+@pytest.mark.parametrize("argv, skips", _VERIFY_SKIPS.values(), ids=_VERIFY_SKIPS.keys())
+def test_verify_skips_the_rows_whose_route_cannot_apply(argv, skips, tmp_path):
+    # a skipped row neither passes nor fails; every other row passes, so the command exits 0
+    out = tmp_path / "verify.json"
+    assert run_cli(["-o", str(out), "verify", *argv]) == EXIT_OK
+    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert tuple(rows) == _VERIFY_ROWS
+    assert {name for name, row in rows.items() if row["skipped"] is not None} == set(skips)
+    for name, word in skips.items():
+        assert word in rows[name]["skipped"]
+        assert rows[name]["value"] is None and rows[name]["passed"] is None
+    assert all(row["passed"] for name, row in rows.items() if name not in skips)
+
+
 def test_verify_passes_at_tiny_coupling(tmp_path):
     # the moment-flow row relaxes over a span of 3e7 here, one exact step of the flow;
     # the Monte Carlo rows fail one seed in about 300 (the rate test below)
@@ -332,7 +364,6 @@ _REJECTED_INPUTS = {
     "verify_zero_trajectories": ["verify", "--mc-trajectories", "0"],
     "verify_one_trajectory": ["verify", "--mc-trajectories", "1"],
     "verify_below_the_screen_floor": ["verify", "--mc-trajectories", "199"],
-    "verify_undriven_oscillator_2": ["verify", "--D2", "0"],
     "verify_nan_tol_scale": ["verify", "--tol-scale", "nan"],
     "verify_negative_tol_scale": ["verify", "--tol-scale", "-1"],
     "verify_zero_tol_scale": ["verify", "--tol-scale", "0"],

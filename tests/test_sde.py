@@ -28,7 +28,8 @@ def test_noise_stream_partition_invariance():
     # third child of the seed's SeedSequence, for seeds up to 2**64 - 1
     from hybridosc import sde
 
-    n, chunk, ends = 3, 2, np.array([4, 8, 12, 14, 18, 20])
+    n, chunk, ends = 3, 2, [4, 8, 12, 14, 18, 20]
+    rows = range(chunk * sde.CHUNK_TRAJECTORIES, chunk * sde.CHUNK_TRAJECTORIES + n)
     for seed in (42, 0, 2**63 + 5, 2**64 - 1):
         child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
         want = np.random.Generator(np.random.SFC64(child)).standard_normal(n * 20)
@@ -39,11 +40,14 @@ def test_noise_stream_partition_invariance():
             (10, [(0, 8), (8, 18), (18, 20)]),
             (20, [(0, 20)]),
         ):
-            noise = np.empty(n * width)
+            plan = sde._Plan(
+                steps=None, times=None, maps=None, gaps=None, ends=ends, width=width, start=None,
+            )
             got, fills = [], []
-            for lo, hi, fill in sde._draws(seed, [(chunk, n)], ends, width, [noise]):
-                fills.append((lo, hi))
-                got.append(fill.copy())
+            with sde._noise(seed, [rows], plan) as draws:
+                for lo, hi, fill in draws:
+                    fills.append((lo, hi))
+                    got.append(fill.copy())
             assert fills == want_fills, seed
             assert np.array_equal(np.concatenate(got), want), seed
 
@@ -230,11 +234,7 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
     monkeypatch.setattr(sde, "FILL_NORMALS", 6 * 256)
-    runaway = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0))
-    cfg = SimConfig(
-        dt=5e154, t_final=3000 * 5e154, n_trajectories=6, seed=7,
-        initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1e300, 1e-6, 1e300]), output_stride=1,
-    )
+    runaway, cfg = _runaway_free_particles()
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~np.isfinite(_per_gap_scheme(runaway, cfg, range(6))).all(axis=-1)
     step, row = np.argwhere(bad)[0]
@@ -253,9 +253,96 @@ def test_overflow_report_does_not_depend_on_group_size(monkeypatch, cpus):
     assert messages[0] == f"trajectory {row} overflowed near t = {step * cfg.dt:.6g}"
 
 
+def _runaway_free_particles():
+    # free particles whose momenta of about 1e150 take the positions out of the float range
+    # within 3000 every-step outputs: trajectory 5 near step 2246
+    dn = assemble_drift_noise(make_params(1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0))
+    cfg = SimConfig(
+        dt=5e154, t_final=3000 * 5e154, n_trajectories=6, seed=7,
+        initial_mean=np.zeros(4), initial_cov=np.diag([1e-6, 1e300, 1e-6, 1e300]), output_stride=1,
+    )
+    return dn, cfg
+
+
+def _count_threads_in_steps(monkeypatch):
+    # the number of running threads each time a chunk's stepping yields a group
+    import threading
+
+    from hybridosc import sde
+
+    seen, steps = [], sde._steps
+
+    def counting(*args):
+        for group in steps(*args):
+            seen.append(threading.active_count())
+            yield group
+
+    monkeypatch.setattr(sde, "_steps", counting)
+    return seen
+
+
+def test_sample_trajectory_draws_ahead_as_the_ensemble_does(monkeypatch):
+    # one every-step chunk of 40 trajectories, 700 steps in fills of 100: with
+    # AHEAD_NORMALS lowered to 0 and two CPUs the chunk takes seven fills, so
+    # sample_trajectory draws the next one on a helper thread, as
+    # simulate_ensemble would, and the path is the member's of the per-gap
+    # loop and the one drawn inline bit for bit.  No helper thread is left
+    # after it returns
+    import threading
+
+    from hybridosc import sde
+
+    monkeypatch.setattr(sde, "FILL_NORMALS", 200 * 40)
+    monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3, d1=1.5, d2=0.7))
+    cfg = SimConfig(
+        dt=1e-2, t_final=7.0, n_trajectories=40, seed=21,
+        initial_state=np.array([1.0, -0.5, 0.3, 0.8]), output_stride=1,
+    )
+    before = threading.active_count()
+    seen = _count_threads_in_steps(monkeypatch)
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 1)
+    _, inline = sample_trajectory(dn, cfg, 17)
+    assert set(seen) == {before}
+    seen.clear()
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    _, ahead = sample_trajectory(dn, cfg, 17)
+    assert set(seen) == {before + 1}
+    assert threading.active_count() == before
+    assert np.array_equal(ahead, inline)
+    assert np.array_equal(ahead, _per_gap_scheme(dn, cfg, range(cfg.n_trajectories))[:, 17])
+
+
+def test_sample_trajectory_helper_has_ended_when_it_raises(monkeypatch):
+    # the runaway free particles in 24 fills of 6 x 256 normals drawn ahead:
+    # trajectory 5's path overflows at the output the per-gap loop finds, and
+    # the helper thread has ended when the error is raised
+    import threading
+
+    from hybridosc import sde
+
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sde, "AHEAD_NORMALS", 0)
+    monkeypatch.setattr(sde, "FILL_NORMALS", 6 * 256)
+    runaway, cfg = _runaway_free_particles()
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(_per_gap_scheme(runaway, cfg, range(6))[:, 5]).all(axis=-1)
+    step = np.argmax(bad)
+    assert step > 2000
+    before = threading.active_count()
+    seen = _count_threads_in_steps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow) as caught:
+            sample_trajectory(runaway, cfg, 5)
+    assert set(seen) == {before + 1}
+    assert threading.active_count() == before
+    assert str(caught.value) == f"trajectory 5 overflowed near t = {step * cfg.dt:.6g}"
+
+
 def _per_gap_scheme(dn, cfg, indices):
     # the scheme one gap between outputs at a time, z <- z A^L + zeta F_L with the
-    # maps of sde._gap_maps, on the chunk's stream: an (n, 4) block for a Gaussian
+    # maps of sde._plan, on the chunk's stream: an (n, 4) block for a Gaussian
     # start, then an (n, k) block per gap.  At stride 1 every gap is one step,
     # z <- z A + eta F_1 with eta the (n, 2) block for the driven rows
     from hybridosc import sde
@@ -267,11 +354,10 @@ def _per_gap_scheme(dn, cfg, indices):
         z = cfg.initial_mean + rng.standard_normal((n, 4)) @ sde._gaussian_factor(cfg.initial_cov).T
     else:
         z = np.tile(np.asarray(cfg.initial_state, dtype=float), (n, 1))
-    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
-    maps = sde._gap_maps(dn, cfg, output_steps)
+    plan = sde._plan(dn, cfg)
     path = [z]
-    for length in np.diff(output_steps).tolist():
-        power, factor = maps[length]
+    for length in plan.gaps:
+        power, factor = plan.maps[length]
         z = z @ power + rng.standard_normal((n, len(factor))) @ factor
         path.append(z)
     return np.array(path)
@@ -326,13 +412,14 @@ def test_strided_paths_match_per_gap_loop(monkeypatch, group):
         dt=1e-2, t_final=1.01, n_trajectories=40, seed=22,
         initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=10,
     )
-    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
-    assert np.diff(output_steps).tolist() == [10] * 10 + [1]
+    plan = sde._plan(dn, cfg)
+    assert plan.gaps == [10] * 10 + [1]
     ref = _per_gap_scheme(dn, cfg, range(cfg.n_trajectories))
 
-    maps, got = sde._gap_maps(dn, cfg, output_steps), np.empty_like(ref)
-    for k0, states in sde._steps(cfg, range(cfg.n_trajectories), output_steps, maps):
-        got[k0 : k0 + len(states)] = states
+    got, chunk = np.empty_like(ref), range(cfg.n_trajectories)
+    with sde._noise(cfg.seed, [chunk], plan) as fills:
+        for k0, states in sde._steps(cfg, chunk, plan, fills):
+            got[k0 : k0 + len(states)] = states
     assert np.array_equal(got, ref)
     _, path = sample_trajectory(dn, cfg, 17)
     assert np.array_equal(path, ref[:, 17])
@@ -408,9 +495,10 @@ def test_stream_contract_four_normals_per_longer_gap():
     )
     _, path = sample_trajectory(dn, cfg, index)
 
-    maps = sde._gap_maps(dn, cfg, np.array([0, length, 2 * length, 2 * length + 1]))
-    power, factor = maps[length]
-    step, amp = maps[1]
+    plan = sde._plan(dn, cfg)
+    assert plan.steps.tolist() == [0, length, 2 * length, 2 * length + 1]
+    power, factor = plan.maps[length]
+    step, amp = plan.maps[1]
     n = length
     block = np.array([[dt**2 * (n**3 / 3 - n / 12), dt * n**2 / 2], [dt * n**2 / 2, n]])
     exact = np.zeros((4, 4))
@@ -444,7 +532,7 @@ def _scheme_moments(dn, cfg, mean, cov):
     from hybridosc import sde
 
     step_t, amp = _scipy_step(dn, cfg.dt)
-    outputs = set(sde._output_steps(cfg.n_steps, cfg.resolved_stride()).tolist())
+    outputs = set(sde._plan(dn, cfg).steps.tolist())
     means, covs = [], []
     for k in range(cfg.n_steps + 1):
         if k:
@@ -477,14 +565,14 @@ def _verify_stationary_start():
 
 @pytest.mark.parametrize("case", [_strided_cold_start, _verify_stationary_start],
                          ids=["strided_cold_start", "verify_stationary_start"])
-def test_em_moments_match_per_step_loop(case):
+def test_scheme_moments_match_per_step_loop(case):
     # the library's composed moments, built from theta, Q and dt, against the
     # per-step oracle at every output step
     from hybridosc import sde
 
     dn, cfg, mean0, cov0 = case()
     means, covs = _scheme_moments(dn, cfg, mean0, cov0)
-    steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    steps = sde._plan(dn, cfg).steps
     assert len(steps) == len(covs)
     for step, mean, cov in zip(steps.tolist(), means, covs):
         got_mean, got_cov = sde.scheme_moments(dn, cfg.dt, step, mean0, cov0)
@@ -513,7 +601,7 @@ def test_strided_ensemble_follows_the_scheme_covariance():
 
     dn, cfg, mean0, cov0 = _strided_cold_start()
     stats = simulate_ensemble(dn, cfg)
-    steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    steps = sde._plan(dn, cfg).steps
     assert len(steps) == len(stats.times) == 17
     for k in (1, -1):
         mean, cov = sde.scheme_moments(dn, cfg.dt, steps[k], mean0, cov0)
@@ -566,13 +654,16 @@ def _pooled_states(dn, cfg):
     # chunk as the ensemble steps them
     from hybridosc import sde
 
-    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
-    maps = sde._gap_maps(dn, cfg, output_steps)
-    pooled = np.empty((len(output_steps), cfg.n_trajectories, 4))
-    for lo in range(0, cfg.n_trajectories, sde.CHUNK_TRAJECTORIES):
-        chunk = range(lo, min(lo + sde.CHUNK_TRAJECTORIES, cfg.n_trajectories))
-        for k0, group in sde._steps(cfg, chunk, output_steps, maps):
-            pooled[k0 : k0 + len(group), chunk.start : chunk.stop] = group
+    plan = sde._plan(dn, cfg)
+    pooled = np.empty((len(plan.steps), cfg.n_trajectories, 4))
+    chunks = [
+        range(lo, min(lo + sde.CHUNK_TRAJECTORIES, cfg.n_trajectories))
+        for lo in range(0, cfg.n_trajectories, sde.CHUNK_TRAJECTORIES)
+    ]
+    with sde._noise(cfg.seed, chunks, plan) as fills:
+        for chunk in chunks:
+            for k0, group in sde._steps(cfg, chunk, plan, fills):
+                pooled[k0 : k0 + len(group), chunk.start : chunk.stop] = group
     return pooled
 
 
@@ -1064,10 +1155,11 @@ def test_sample_trajectory_matches_member_of_multi_trajectory_chunk(monkeypatch)
         dt=1e-2, t_final=20.0, n_trajectories=300, seed=4,
         initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=25,
     )
-    output_steps = sde._output_steps(cfg.n_steps, cfg.resolved_stride())
+    plan = sde._plan(dn, cfg)
     index = 211
-    member = np.empty((len(output_steps), 4))
-    for k0, group in sde._steps(cfg, range(128, 256), output_steps, sde._gap_maps(dn, cfg, output_steps)):
-        member[k0 : k0 + len(group)] = group[:, index - 128]
+    member = np.empty((len(plan.steps), 4))
+    with sde._noise(cfg.seed, [range(128, 256)], plan) as fills:
+        for k0, group in sde._steps(cfg, range(128, 256), plan, fills):
+            member[k0 : k0 + len(group)] = group[:, index - 128]
     _, path = sample_trajectory(dn, cfg, index)
     assert np.array_equal(path, member)
