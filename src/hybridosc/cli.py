@@ -227,7 +227,7 @@ def _cmd_cq(args, config) -> int:
             {
                 "T_C": occ.temperature,
                 "N": occ.n,
-                "N_exact": cq._occupation(report.equal_time),
+                "N_exact": cq.occupation_exact(hybrid),
                 "equal_time": report.equal_time,
                 "gibbs_deviation": report.max_deviation_gibbs,
             }

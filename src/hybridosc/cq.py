@@ -157,12 +157,8 @@ def occupation_exact(cq: CQParams) -> float:
     nu = sqrt(<<QQ>> <<PP>>) is the symplectic eigenvalue of the (Q, P) block of
     :func:`hybrid_equal_time` (Williamson 1936); <<QP>> is 0 in the closed form.
     """
-    return _occupation(hybrid_equal_time(cq))
-
-
-def _occupation(equal_time: dict) -> float:
-    """nu - 1/2 of :func:`occupation_exact` from moments of :func:`hybrid_equal_time`."""
-    return math.sqrt(equal_time["QQ"] * equal_time["PP"]) - 0.5
+    moments = hybrid_equal_time(cq)
+    return math.sqrt(moments["QQ"] * moments["PP"]) - 0.5
 
 
 @dataclass(frozen=True)

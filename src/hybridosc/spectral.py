@@ -20,6 +20,8 @@ Conventions (fixed once; every formula below is stated in these):
   t <= 0: a response-variable insertion correlates only with observations
   made after it.
 * Correlation entries carry 1/|D(w)|^2 and decay in both time directions.
+* D(w) = m1 m2 P(-iw), with P the drift's characteristic quartic; its
+  coefficients are read from :func:`hybridosc.model.characteristic_polynomial`.
 * One function of A, A*, B gives the seven numerators over D or |D|^2; the
   closed form evaluates it at a real w and the residue sums at the poles.
 
@@ -44,7 +46,7 @@ from .errors import (
     PerfectCorrelation,
     PoleOnAxis,
 )
-from .model import SystemParams
+from .model import SystemParams, characteristic_polynomial
 
 FIELD_ORDER = ("q1", "q1_tilde", "q2", "q2_tilde")
 
@@ -90,48 +92,26 @@ def greens_inverse(params: SystemParams, omega: float) -> np.ndarray:
     return m
 
 
+_SLOTS = {  # (row, col) of each two-point function in the (q1, q1~, q2, q2~) matrix
+    "g11": (0, 0), "g22": (2, 2), "g12": (0, 2), "g21": (2, 0),
+    "response_11": (0, 1), "response_22": (2, 3), "response_21": (2, 1),
+}
+
+
 @dataclass(frozen=True)
 class GreensFrequency:
-    """Closed-form Green's function at one real frequency."""
+    """Closed-form Green's function at one real frequency; ``g11`` ... ``response_21``
+    read their ``_SLOTS`` entries of ``matrix``."""
 
     omega: float
     matrix: np.ndarray
 
     field_order = FIELD_ORDER
 
-    @property
-    def g11(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def g22(self) -> complex:
-        return complex(self.matrix[2, 2])
-
-    @property
-    def g12(self) -> complex:
-        return complex(self.matrix[0, 2])
-
-    @property
-    def g21(self) -> complex:
-        return complex(self.matrix[2, 0])
-
-    @property
-    def response_11(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def response_22(self) -> complex:
-        return complex(self.matrix[2, 3])
-
-    @property
-    def response_21(self) -> complex:
-        return complex(self.matrix[2, 1])
-
-
-_SLOTS = {  # (row, col) of each two-point function in the (q1, q1~, q2, q2~) matrix
-    "g11": (0, 0), "g22": (2, 2), "g12": (0, 2), "g21": (2, 0),
-    "response_11": (0, 1), "response_22": (2, 3), "response_21": (2, 1),
-}
+    def __getattr__(self, name: str) -> complex:
+        if name not in _SLOTS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return complex(self.matrix[_SLOTS[name]])
 
 
 def _numerators(params: SystemParams, a, a_conj, b) -> dict:
@@ -200,21 +180,9 @@ def greens(params: SystemParams, omega: float) -> GreensFrequency:
 
 
 def response_denominator_coefficients(params: SystemParams) -> np.ndarray:
-    """Descending coefficients of D(w) = A(w) B(w) - lam^2 (quartic in w)."""
-    o1, o2, lam = params.osc1, params.osc2, params.coupling
-    m1, m2 = o1.mass, o2.mass
-    k1l = o1.spring_constant + lam
-    k2l = o2.spring_constant + lam
-    al = o1.damping
-    return np.array(
-        [
-            m1 * m2,
-            -1j * al * m2,
-            -(m1 * k2l + m2 * k1l),
-            1j * al * k2l,
-            k1l * k2l - lam**2,
-        ]
-    )
+    """Descending coefficients of D(w) = A(w) B(w) - lam^2 = m1 m2 P(-iw) (quartic in w)."""
+    m1m2 = params.osc1.mass * params.osc2.mass
+    return m1m2 * characteristic_polynomial(params) * 1j ** np.arange(5)
 
 
 def _upper_roots(params: SystemParams) -> np.ndarray:
@@ -404,21 +372,16 @@ def _stable_poles(params: SystemParams, context: str):
     return roots_up, roots_all, lead4, lead4 * np.conj(lead4), nums
 
 
-def _residues(num: np.ndarray, roots: np.ndarray, lead: complex) -> np.ndarray:
-    """N(p_k) / (lead * prod_{j != k} (p_k - p_j)) at every (simple) pole p_k; num = N(p_k)."""
-    diffs = roots[:, None] - roots[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    return num / (lead * np.prod(diffs, axis=1))
-
-
 def _residue_transform(num: np.ndarray, roots: np.ndarray, lead: complex, t: np.ndarray) -> np.ndarray:
     """Inverse transform of N(w) / (lead * prod (w - roots)) by residues; num = N(roots).
 
     Upper-half poles are collected for t < 0 (contour closed above, +2pi i),
-    lower-half poles for t >= 0.  Simple poles assumed; residues use the
-    analytic derivative of the denominator.
+    lower-half poles for t >= 0.  Simple poles assumed; the residue at p_k is
+    N(p_k) / (lead * prod_{j != k} (p_k - p_j)).
     """
-    coeff = _residues(num, roots, lead)
+    diffs = roots[:, None] - roots[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    coeff = num / (lead * np.prod(diffs, axis=1))
     upper = roots.imag > 0
     out = np.zeros(t.shape, dtype=complex)
     for side, poles, factor in ((t < 0, upper, 1j), (t >= 0, ~upper, -1j)):
@@ -463,17 +426,17 @@ def exact_equal_time(params: SystemParams) -> dict[str, float]:
     Besides the three position covariances this exposes the one-sided time
     derivatives that map onto the position-momentum covariances:
     m2 * d/dt g12(0+) = E[q1 p2] and m1 * d/dt g21(0+) = E[q2 p1].
+    Each is the real part of the residue transform at t = 0, taken without the
+    imaginary-leakage refusal of :func:`correlators_exact`.
     """
     _, roots_all, _, lead8, nums = _stable_poles(params, "exact_equal_time")
-    lower = roots_all.imag < 0
-    poles = roots_all[lower]
+    t0 = np.zeros(1)
 
     out: dict[str, float] = {}
     for name in ("g11", "g22", "g12", "g21"):
-        # the t >= 0 branch of the residue transform and its derivative at t = 0
-        coeff = -1j * _residues(nums[name], roots_all, lead8)[lower]
-        out[name + "_0"] = float(coeff.sum().real)
-        out["d" + name + "_dt0"] = float((coeff * (-1j * poles)).sum().real)
+        # t = 0 takes the t >= 0 branch; d/dt multiplies the numerator by -i w
+        for key, num in ((f"{name}_0", nums[name]), (f"d{name}_dt0", -1j * roots_all * nums[name])):
+            out[key] = float(_residue_transform(num, roots_all, lead8, t0)[0].real)
     out["q1p2"] = params.osc2.mass * out["dg12_dt0"]
     out["q2p1"] = params.osc1.mass * out["dg21_dt0"]
     return out
@@ -562,15 +525,14 @@ def correlation_coefficient(
     """Normalised correlation r_ij(t) = C_ij(t) / sqrt(C_ii(0) C_jj(0))."""
     if pair not in _PAIR_FIELDS:
         raise ValueError(f"pair must be one of {sorted(_PAIR_FIELDS)}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float)
     compute = correlators_exact if exact else correlators_small_lambda
-    table = compute(params, t_arr)
-    zero = compute(params, np.array([0.0]))
+    table = compute(params, np.concatenate([[0.0], t_arr.ravel()]))  # t = 0 normalises
     i, j = pair
-    c_ii = getattr(zero, _PAIR_FIELDS[(i, i)])[0]
-    c_jj = getattr(zero, _PAIR_FIELDS[(j, j)])[0]
-    r = getattr(table, _PAIR_FIELDS[pair]) / np.sqrt(c_ii * c_jj)
-    return r if np.ndim(t) else float(r[0])
+    c_ii = getattr(table, _PAIR_FIELDS[(i, i)])[0]
+    c_jj = getattr(table, _PAIR_FIELDS[(j, j)])[0]
+    r = (getattr(table, _PAIR_FIELDS[pair])[1:] / np.sqrt(c_ii * c_jj)).reshape(t_arr.shape)
+    return r if t_arr.ndim else float(r)
 
 
 def mutual_information(

@@ -4,6 +4,7 @@ disagreement of two independent routes to one quantity against a fixed bound.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -96,12 +97,12 @@ def run_checks(
         else:
             add(name, value, bound)
 
-    # stability: the algebraic certificate against the dense spectrum it certifies
+    # stability: the algebraic certificate against the dense spectrum it certifies, one eigensolve
     eigs, mismatch = stability.spectrum_mismatch(params)
     add("charpoly_vs_eigenvalues", mismatch, stability.SPECTRUM_TOL)
-    report = stability.routh_hurwitz(params)
+    min_real = float(np.min(eigs.real))
     # how far min Re eig lies on the side that the verdict rules out
-    wrong_side = -report.min_real_part if report.routh_hurwitz_pass else report.min_real_part
+    wrong_side = -min_real if stability._hurwitz_criteria(params)[1] else min_real
     add("certificate_vs_spectrum", max(wrong_side, 0.0), 1e-9)
 
     # Lyapunov triangle on the configured system
@@ -110,7 +111,7 @@ def run_checks(
     closed = steadystate.closed_form_covariances(params)
     scale = float(np.max(np.abs(solved)))
     add("closed_form_vs_lyapunov", np.max(np.abs(closed - solved)) / scale, 1e-8)
-    t_relax = 15.0 / float(np.min(eigs.real))
+    t_relax = 15.0 / min_real
     _, covs = steadystate.evolve_moments(dn, np.zeros((4, 4)), np.zeros(4), np.array([0.0, t_relax]))
     add("moment_flow_vs_lyapunov", np.max(np.abs(covs[-1] - solved)) / scale, 1e-8)
 
@@ -138,13 +139,11 @@ def run_checks(
 
     # perturbative pole error must shrink like the cube of the coupling
     lams = np.array([0.01, 0.02, 0.04])
-    base = params.to_dict()
 
     def cubic_scaling():
         errs = []
         for lam in lams:
-            base["lambda"] = lam
-            p_small = SystemParams.from_dict(base)
+            p_small = replace(params, coupling=lam)
             # first: it refuses the overdamped regime, where find_poles raises another error
             pert = spectral.perturbative_poles(p_small, order=2)
             exact = spectral.find_poles(p_small)
@@ -155,8 +154,7 @@ def run_checks(
     attempt("perturbative_cubic_scaling", 0.2, OverdampedUnsupported, cubic_scaling)
 
     # small-coupling closed forms against the exact residue values
-    base["lambda"] = 0.01
-    p_small = SystemParams.from_dict(base)
+    p_small = replace(params, coupling=0.01)
     t_probe = np.linspace(0.0, 5.0 / max(params.osc1.damping_rate, 1e-3), 7)
 
     def g22():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hybridosc import spectral, verify
+from hybridosc import spectral, stability, verify
 from hybridosc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY, build_parser, main
 from hybridosc.model import SystemParams
 
@@ -539,6 +539,24 @@ def test_cross_checks_see_a_wrong_numerator(monkeypatch):
     checks = {check.name: check for check in rows}
     assert not checks["greens_vs_numeric_inverse"].passed
     assert not checks["residue_equal_time_vs_lyapunov"].passed
+
+
+def test_quartic_mismatch_fails_its_row_without_raising(monkeypatch, tmp_path):
+    # the certificate row reuses the eigenvalues of the charpoly row, so a
+    # quartic that disagrees with the spectrum fails that row and no other
+    quartic = stability.characteristic_polynomial
+
+    def off_c0(params):
+        coeffs = quartic(params).copy()
+        coeffs[-1] += 1e-6
+        return coeffs
+
+    monkeypatch.setattr(stability, "characteristic_polynomial", off_c0)
+    params = SystemParams.natural_units(0.4)
+    rows = verify.run_checks(params, seed=1, mc_trajectories=200, tol_scale=1.0)
+    assert [check.name for check in rows if check.passed is False] == ["charpoly_vs_eigenvalues"]
+    argv = ["-o", str(tmp_path / "v.json"), "verify", "--lambda", "0.4", "--seed", "1"]
+    assert run_cli(argv) == EXIT_VERIFY
 
 
 _PARAM_FLAGS = {

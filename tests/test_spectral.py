@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hybridosc import (
     SystemParams,
     assemble_drift_noise,
     characteristic_polynomial,
+    closed_form_covariances,
     correlation_coefficient,
     correlators_exact,
     correlators_small_lambda,
@@ -25,6 +28,7 @@ from hybridosc import (
     perturbative_poles,
     sigma_ratio,
     solve_lyapunov,
+    spectral,
 )
 
 from conftest import make_params, quadrature_inverse_transform, spectral_params
@@ -79,6 +83,14 @@ def test_closed_form_equals_numeric_inverse(params, omega):
     assert np.max(np.abs(closed - inverted)) <= 1e-10 * scale
 
 
+def test_greens_names_read_their_slots():
+    g = greens(make_params(1.2, 0.9, 0.7, 1.0, 0.8, 1.3, 0.6, 0.5), 0.8)
+    for name, slot in spectral._SLOTS.items():
+        assert getattr(g, name) == complex(g.matrix[slot])
+    with pytest.raises(AttributeError):
+        g.g33
+
+
 def test_pole_on_axis_at_zero_coupling():
     params = make_params(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(PoleOnAxis):
@@ -127,6 +139,22 @@ def test_pole_reflection_structure(params):
     coeffs = np.conj(response_denominator_coefficients(params))
     residuals = np.abs(np.polyval(coeffs, np.conj(roots)))
     assert np.max(residuals) <= 1e-9 * max(1.0, np.max(np.abs(roots)) ** 4)
+
+
+# an unlike pair; at strong coupling the constant term k1 k2 + (k1 + k2) lam of
+# D(w) loses digits when formed as (k1 + lam)(k2 + lam) - lam^2
+_STRONG = dict(m1=1.3, k1=0.7, alpha=0.9, d1=1.0, m2=0.6, k2=1.1, d2=1.0)
+
+
+def test_denominator_constant_term_is_exact_at_strong_coupling():
+    from hybridosc.spectral import response_denominator_coefficients
+
+    params = make_params(**_STRONG, lam=1e6)
+    c0 = response_denominator_coefficients(params)[-1]
+    k1, k2, lam = (Fraction(x) for x in (0.7, 1.1, 1e6))
+    exact = k1 * k2 + (k1 + k2) * lam
+    assert c0.imag == 0.0
+    assert abs(Fraction(c0.real) - exact) <= Fraction(1e-15) * exact
 
 
 def test_find_poles_rejects_zero_coupling():
@@ -198,6 +226,15 @@ def test_equal_time_matches_lyapunov(params):
     assert abs(eq["g12_0"] - cov[0, 2]) <= 1e-8 * scale
     assert abs(eq["q1p2"] - cov[0, 3]) <= 1e-8 * scale
     assert abs(eq["q2p1"] - cov[2, 1]) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("lam", [1e4, 1e6])
+def test_equal_time_matches_closed_form_at_strong_coupling(lam):
+    params = make_params(**_STRONG, lam=lam)
+    eq = exact_equal_time(params)
+    closed = closed_form_covariances(params)
+    assert eq["g11_0"] == pytest.approx(closed[0, 0], rel=1e-13, abs=0.0)
+    assert eq["g22_0"] == pytest.approx(closed[2, 2], rel=1e-13, abs=0.0)
 
 
 def test_autocorrelations_even_and_real():
@@ -440,6 +477,28 @@ def test_exact_route_agrees_with_small_lambda():
     assert mutual_information(params, (2, 2), 0.9, exact=True) == pytest.approx(
         mutual_information(params, (2, 2), 0.9), rel=0.06
     )
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_correlation_coefficient_evaluates_its_route_once(exact, monkeypatch):
+    params = SystemParams.natural_units(0.05)
+    t = np.array([-2.5, 0.0, 0.4, 1.7, 3.0])
+    route = correlators_exact if exact else correlators_small_lambda
+    # the two-call form: the table on t, and its own evaluation at t = 0 to normalise
+    table, zero = route(params, t), route(params, np.zeros(1))
+    two_calls = table.g12 / np.sqrt(zero.g11[0] * zero.g22[0])
+
+    calls = []
+
+    def counted(params, t_grid):
+        calls.append(t_grid)
+        return route(params, t_grid)
+
+    monkeypatch.setattr(spectral, route.__name__, counted)
+    r = correlation_coefficient(params, (1, 2), t, exact=exact)
+    assert len(calls) == 1
+    assert r.tobytes() == two_calls.tobytes()
+    assert correlation_coefficient(params, (1, 2), 0.4, exact=exact) == two_calls[2]
 
 
 @settings(max_examples=60, deadline=None)
