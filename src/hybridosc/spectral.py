@@ -114,19 +114,19 @@ class GreensFrequency:
         return complex(self.matrix[_SLOTS[name]])
 
 
-def _numerators(params: SystemParams, a, a_conj, b) -> dict:
-    """The seven numerators (g over |D|^2, responses over D) at factor values A, A*, B."""
+def _numerators(params: SystemParams, a, a_conj, b) -> tuple:
+    """The seven numerators in ``_SLOTS`` order (g over |D|^2, responses over D) at A, A*, B."""
     lam = params.coupling
     d1, d2 = params.osc1.diffusion, params.osc2.diffusion
-    return {
-        "g11": d1 * b**2 + lam**2 * d2,
-        "g22": d2 * a * a_conj + lam**2 * d1,
-        "g12": -lam * (d1 * b + d2 * a_conj),
-        "g21": -lam * (d1 * b + d2 * a),
-        "response_11": b,
-        "response_22": a,
-        "response_21": 0.0 * b - lam,
-    }
+    return (
+        d1 * b**2 + lam**2 * d2,
+        d2 * a * a_conj + lam**2 * d1,
+        -lam * (d1 * b + d2 * a_conj),
+        -lam * (d1 * b + d2 * a),
+        b,
+        a,
+        0.0 * b - lam,
+    )
 
 
 def greens(params: SystemParams, omega: float) -> GreensFrequency:
@@ -165,7 +165,7 @@ def greens(params: SystemParams, omega: float) -> GreensFrequency:
     dd = den_up * den_lo
 
     m = np.zeros((4, 4), dtype=complex)
-    for name, value in _numerators(params, a, a_conj, b).items():
+    for name, value in zip(_SLOTS, _numerators(params, a, a_conj, b)):
         m[_SLOTS[name]] = value / (dd if name.startswith("g") else den_up)
     # lower response slots: the coefficient conjugates of the upper ones
     m[1, 0] = b / den_lo
@@ -185,9 +185,8 @@ def response_denominator_coefficients(params: SystemParams) -> np.ndarray:
     return m1m2 * characteristic_polynomial(params) * 1j ** np.arange(5)
 
 
-def _upper_roots(params: SystemParams) -> np.ndarray:
-    """Roots of the response denominator, Newton-polished, sorted by real part."""
-    coeffs = response_denominator_coefficients(params)
+def _upper_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the response denominator from its ``coeffs``, Newton-polished, sorted by real part."""
     roots = np.roots(coeffs)
     deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
     for _ in range(_NEWTON_ROUNDS):
@@ -249,7 +248,7 @@ def find_poles(params: SystemParams) -> PoleSet:
         matching mirrors (e.g. zero coupling, or the deeply overdamped
         regime where roots sit on the imaginary axis).
     """
-    roots = _upper_roots(params)
+    roots = _upper_roots(response_denominator_coefficients(params))
     _check_separation(roots, "find_poles")
     scale = _root_scale(roots)
     if np.any(roots.imag <= _AXIS_TOL * scale):
@@ -361,41 +360,52 @@ class CorrelatorTable:
 
 
 def _stable_poles(params: SystemParams, context: str):
-    """Roots of D and |D|^2, leads, numerators at the |D|^2 roots; or DegeneratePoles/PoleOnAxis."""
-    roots_up = _upper_roots(params)
+    """Roots of D and |D|^2, leads, numerator rows at the |D|^2 roots; or DegeneratePoles/PoleOnAxis."""
+    coeffs = response_denominator_coefficients(params)
+    roots_up = _upper_roots(coeffs)
     if np.any(roots_up.imag <= 0.0):
         raise PoleOnAxis(f"{context}: requires a strictly stable system (all poles off axis)")
     roots_all = np.concatenate([roots_up, np.conj(roots_up)])
     _check_separation(roots_all, context)
-    lead4 = response_denominator_coefficients(params)[0]
-    nums = _numerators(params, *_abc(params, roots_all))
-    return roots_up, roots_all, lead4, lead4 * np.conj(lead4), nums
+    nums = np.array(_numerators(params, *_abc(params, roots_all)))
+    return roots_up, roots_all, coeffs[0], coeffs[0] * np.conj(coeffs[0]), nums
 
 
-def _residue_transform(num: np.ndarray, roots: np.ndarray, lead: complex, t: np.ndarray) -> np.ndarray:
-    """Inverse transform of N(w) / (lead * prod (w - roots)) by residues; num = N(roots).
+def _residue_transform(nums: np.ndarray, roots: np.ndarray, lead: complex, t: np.ndarray) -> np.ndarray:
+    """Inverse transforms of N_r(w) / (lead * prod (w - roots)) by residues; nums[r] = N_r(roots).
 
-    Upper-half poles are collected for t < 0 (contour closed above, +2pi i),
-    lower-half poles for t >= 0.  Simple poles assumed; the residue at p_k is
+    ``nums`` stacks one numerator per row, and row r of the (rows, *t.shape)
+    result is its transform; the pole differences, residue coefficients and
+    both phase matrices are formed once for all rows.  Upper-half poles are
+    collected for t < 0 (contour closed above, +2pi i), lower-half poles for
+    t >= 0.  Simple poles assumed; the residue at p_k is
     N(p_k) / (lead * prod_{j != k} (p_k - p_j)).
     """
     diffs = roots[:, None] - roots[None, :]
     np.fill_diagonal(diffs, 1.0)
-    coeff = num / (lead * np.prod(diffs, axis=1))
+    coeff = nums / (lead * np.prod(diffs, axis=1))
     upper = roots.imag > 0
-    out = np.zeros(t.shape, dtype=complex)
+    out = np.zeros((len(nums), *t.shape), dtype=complex)
     for side, poles, factor in ((t < 0, upper, 1j), (t >= 0, ~upper, -1j)):
         phases = np.exp(-1j * np.outer(t[side], roots[poles]))
-        out[side] = (phases * (factor * coeff[poles])).sum(axis=1)
+        out[:, side] = [(phases * row).sum(axis=1) for row in factor * coeff[:, poles]]
     return out
 
 
 def _real_part(values: np.ndarray, context: str) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values))))
-    leak = float(np.max(np.abs(values.imag)))
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    leak = float(np.max(np.abs(values.imag), initial=0.0))
     if leak > _IMAG_LEAK_TOL * scale:
         raise DegeneratePoles(f"{context}: imaginary leakage {leak:.3e} signals unreliable residues")
-    return values.real.copy()
+    return np.array(values.real)
+
+
+def _times(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array; ValueError on a non-finite time."""
+    t = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("correlator times must be finite")
+    return t
 
 
 def correlators_exact(params: SystemParams, t_grid: np.ndarray) -> CorrelatorTable:
@@ -406,17 +416,15 @@ def correlators_exact(params: SystemParams, t_grid: np.ndarray) -> CorrelatorTab
     below roughly 1e-4 in natural units, where the undamped branch and its
     reflection collide across the axis) are refused because their residues
     cancel to all available precision; use the small-coupling forms there.
+    Both tables raise ValueError on a non-finite time (:func:`_times`).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _times(t_grid)
     roots_up, roots_all, lead4, lead8, nums = _stable_poles(params, "correlators_exact")
-
-    values: dict[str, np.ndarray] = {}
-    for name in _SLOTS:
-        # responses have the poles of 1/D, which roots_all starts with; all are
-        # upper, so their transform vanishes for t >= 0
-        roots, lead = (roots_all, lead8) if name.startswith("g") else (roots_up, lead4)
-        raw = _residue_transform(nums[name][: len(roots)], roots, lead, t_grid)
-        values[name] = _real_part(raw, name)
+    # responses have the poles of 1/D, which roots_all starts with; all are
+    # upper, so their transform vanishes for t >= 0
+    raw = [*_residue_transform(nums[:4], roots_all, lead8, t_grid),
+           *_residue_transform(nums[4:, :4], roots_up, lead4, t_grid)]
+    values = {name: _real_part(row, name) for name, row in zip(_SLOTS, raw)}
     return CorrelatorTable(times=t_grid, method="exact-residue", **values)
 
 
@@ -426,17 +434,17 @@ def exact_equal_time(params: SystemParams) -> dict[str, float]:
     Besides the three position covariances this exposes the one-sided time
     derivatives that map onto the position-momentum covariances:
     m2 * d/dt g12(0+) = E[q1 p2] and m1 * d/dt g21(0+) = E[q2 p1].
-    Each is the real part of the residue transform at t = 0, taken without the
-    imaginary-leakage refusal of :func:`correlators_exact`.
+    All eight come from one residue transform at t = 0 (the t >= 0 branch) of
+    the four g numerators and their slopes -i w N, and each is its real part,
+    taken without the imaginary-leakage refusal of :func:`correlators_exact`.
     """
     _, roots_all, _, lead8, nums = _stable_poles(params, "exact_equal_time")
-    t0 = np.zeros(1)
+    g = nums[:4]
+    values = _residue_transform(np.vstack([g, -1j * roots_all * g]), roots_all, lead8, np.zeros(1))
 
     out: dict[str, float] = {}
-    for name in ("g11", "g22", "g12", "g21"):
-        # t = 0 takes the t >= 0 branch; d/dt multiplies the numerator by -i w
-        for key, num in ((f"{name}_0", nums[name]), (f"d{name}_dt0", -1j * roots_all * nums[name])):
-            out[key] = float(_residue_transform(num, roots_all, lead8, t0)[0].real)
+    for name, value, slope in zip(_SLOTS, values[:4, 0].real, values[4:, 0].real):
+        out[f"{name}_0"], out[f"d{name}_dt0"] = float(value), float(slope)
     out["q1p2"] = params.osc2.mass * out["dg12_dt0"]
     out["q2p1"] = params.osc1.mass * out["dg21_dt0"]
     return out
@@ -472,7 +480,7 @@ def correlators_small_lambda(params: SystemParams, t_grid: np.ndarray) -> Correl
     g1, w1s, w2s, w2, s1, big_r = _small_coupling(params, "small-coupling correlators")
     m1, m2, d1, d2 = o1.mass, o2.mass, o1.diffusion, o2.diffusion
 
-    t = np.asarray(t_grid, dtype=float)
+    t = _times(t_grid)
     at = np.abs(t)
     damped = np.exp(-g1 * at / 2) * (np.cos(s1 * at) + g1 / (2 * s1) * np.sin(s1 * at))
     g11 = d1 / (2 * g1 * m1**2 * w1s) * damped + d2 / (2 * g1 * m1 * m2 * w2s) * np.cos(w2 * t)

@@ -529,8 +529,9 @@ def test_cross_checks_see_a_wrong_numerator(monkeypatch):
     numerators = spectral._numerators
 
     def skewed(*args):
-        values = numerators(*args)
-        values["g22"] = values["g22"] * (1 + 1e-6)
+        values = list(numerators(*args))
+        g22 = list(spectral._SLOTS).index("g22")
+        values[g22] = values[g22] * (1 + 1e-6)
         return values
 
     monkeypatch.setattr(spectral, "_numerators", skewed)

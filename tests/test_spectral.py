@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hybridosc import (
     ClassificationFailure,
+    CorrelatorTable,
     CouplingZero,
     DegeneratePoles,
     NotStable,
@@ -504,9 +505,61 @@ def test_correlation_coefficient_evaluates_its_route_once(exact, monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(params=spectral_params)
 def test_equal_time_equals_correlators_at_zero(params):
-    # both are the same residue sum at t = 0
+    # both are the same residue sum at t = 0, so they agree bit for bit
     eq = exact_equal_time(params)
     table = correlators_exact(params, np.array([0.0]))
     for name in ("g11", "g22", "g12", "g21"):
-        value = getattr(table, name)[0]
-        assert abs(eq[name + "_0"] - value) <= 1e-13 * abs(value)
+        assert eq[name + "_0"] == getattr(table, name)[0]
+
+
+def test_one_residue_transform_and_one_quartic_per_pole_set(monkeypatch):
+    params = SystemParams.natural_units(0.05)
+    counts = {"_residue_transform": 0, "response_denominator_coefficients": 0}
+
+    def spy(name):
+        real = getattr(spectral, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+
+    for name in counts:
+        spy(name)
+    exact_equal_time(params)
+    assert counts == {"_residue_transform": 1, "response_denominator_coefficients": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    correlators_exact(params, np.linspace(-3.0, 3.0, 7))
+    assert counts == {"_residue_transform": 2, "response_denominator_coefficients": 1}
+
+
+@pytest.mark.parametrize("upper_only", [False, True])
+def test_stacked_residue_transform_equals_its_rows(upper_only):
+    # the poles of D alone (responses) or of |D|^2 (correlations)
+    roots_up, roots_all, lead4, lead8, _ = spectral._stable_poles(
+        SystemParams.natural_units(0.3), "test"
+    )
+    roots, lead = (roots_up, lead4) if upper_only else (roots_all, lead8)
+    rng = np.random.default_rng(3)
+    nums = rng.normal(size=(5, len(roots))) + 1j * rng.normal(size=(5, len(roots)))
+    t = np.array([-4.0, -0.5, 0.0, 0.25, 3.0])
+    stacked = spectral._residue_transform(nums, roots, lead, t)
+    assert stacked.shape == (5, len(t))
+    for num, row in zip(nums, stacked):
+        assert spectral._residue_transform(num[None], roots, lead, t)[0].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("route", [correlators_exact, correlators_small_lambda])
+@pytest.mark.parametrize("times", [[np.nan, 1.0], [np.inf], [-np.inf, 0.0]])
+def test_correlator_tables_refuse_non_finite_times(route, times):
+    with pytest.raises(ValueError, match="finite"):
+        route(SystemParams.natural_units(0.05), np.array(times))
+
+
+@pytest.mark.parametrize("route", [correlators_exact, correlators_small_lambda])
+def test_correlator_tables_on_an_empty_grid(route):
+    table = route(SystemParams.natural_units(0.05), [])
+    assert table.times.shape == (0,)
+    for name in CorrelatorTable.PAIR_COLUMNS:
+        assert getattr(table, name).shape == (0,)
