@@ -4,7 +4,8 @@ Subcommands: simulate, stability, steadystate, correlators, poles, cq,
 verify.  Parameters come from a single JSON config document (--config) with
 individual flags overriding file values.  Exit codes come from ``main``
 alone: 0 success; 2 rejected input (a ``ValueError``, ``TypeError`` or
-``OSError`` from any flag, config value or file, or output path), with one
+``OSError`` from any flag, config value or file, or output path, or a
+``MemoryError`` from a request too large to hold), with one
 ``config error:`` line; 3 numerical refusal (``HybridOscError``,
 ``LinAlgError`` or an ``ArithmeticError`` such as a float overflow); 4
 verification failure.  Each subcommand imports the library modules it runs
@@ -365,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except (OSError, ValueError, TypeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:  # the request's size is the rejected input
+        sys.stderr.write(f"config error: request does not fit in memory: {exc}\n")
         return EXIT_CONFIG
 
 

@@ -43,8 +43,10 @@ belongs to the chunk's trajectory j.  So the output steps and
 together and the merge order); ``FILL_NORMALS`` and ``GROUP_OUTPUTS`` bound
 memory only.  One thread steps the chunks in order, and each chunk's moments,
 arrays over all output steps, are merged into the running total with Chan's
-pairwise update as it finishes.  Each call lays out its outputs, gap maps
-and fills once (:func:`_plan`) and draws through one noise source
+pairwise update as it finishes.  Each call lays out its outputs and fills
+once (:func:`_plan`); the step, the gap maps and the start's square root
+depend only on the system and the step, and are built once per process and
+kept by value (:func:`_memo`).  Each call draws through one noise source
 (:func:`_noise`): where a second CPU is usable, the call takes more than one
 fill and a fill holds at least ``AHEAD_NORMALS`` normals, one helper thread
 draws the next fill into the other of two fill buffers meanwhile, for
@@ -57,6 +59,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -85,6 +88,9 @@ CSV_ROWS = 1024
 # it saves (2 CPUs: 12,288 normals 16% slower than inline, 36,864 8% faster, 135,168 28%
 # faster; BENCH_em_sfc64.json).  Speed only: results do not depend on it
 AHEAD_NORMALS = 1 << 15
+# set-up results each memo of :func:`_memo` keeps, the most recently used: a step, a gap
+# map or a start factor of a few 4x4 arrays each.  Speed only: results do not depend on it
+_MEMO_SIZE = 32
 
 
 def _usable_cpus() -> int:
@@ -116,6 +122,11 @@ class SimConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.t_final > 0 and np.isfinite(self.t_final)):
             raise ValueError("t_final must be positive and finite")
+        if not np.isfinite(self.t_final / self.dt):
+            raise ValueError(
+                f"t_final / dt must be a finite step count, got t_final = {self.t_final!r}"
+                f" and dt = {self.dt!r}"
+            )
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
         gaussian = self.initial_mean is not None or self.initial_cov is not None
@@ -289,8 +300,47 @@ def moment_screen(stats: EnsembleStats, k: int, mean: np.ndarray, cov: np.ndarra
     )
 
 
+class _Args:
+    """A call's arguments, hashed and compared by ``key``, their values: never by identity."""
+
+    __slots__ = ("args", "key")
+
+    def __init__(self, args: tuple, key: tuple) -> None:
+        self.args, self.key = args, key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+def _memo(key):
+    """Memoise a set-up function by ``key(*args)``, the bytes and numbers it reads, in an LRU of
+    ``_MEMO_SIZE`` results (``cache_info``, ``cache_clear``); the arrays it returns are
+    read-only, so no caller can change what a later call gets."""
+
+    def wrap(build):
+        @functools.lru_cache(maxsize=_MEMO_SIZE)
+        def cached(call: _Args):
+            out, call.args = build(*call.args), None  # the key alone stays in the memo
+            for array in out if isinstance(out, tuple) else (out,):
+                array.setflags(write=False)
+            return out
+
+        @functools.wraps(build)
+        def memoised(*args):
+            return cached(_Args(args, key(*args)))
+
+        memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
+        return memoised
+
+    return wrap
+
+
+@_memo(lambda cov: (np.shape(cov), np.asarray(cov, dtype=float).tobytes()))
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
-    """PSD square root tolerant of semidefinite covariances."""
+    """PSD square root tolerant of semidefinite covariances; memoised by the covariance's bytes."""
     vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
     vals = np.clip(vals, 0.0, None)
     return vecs * np.sqrt(vals)
@@ -304,25 +354,31 @@ def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray
     return states
 
 
+@_memo(lambda dn, dt: (dn.theta.tobytes(), dn.diffusion_matrix.tobytes(), float(dt).hex()))
 def _base_step(dn: DriftNoise, dt: float):
     """(d, F_1) of one step, d = A - I and F_1 = sqrt(dt) amp B, from the half step h = B - I
-    taken once: d = 2h + h^2 and F_1 = sqrt(dt) amp (I + h), a dense 2x4 factor."""
+    taken once: d = 2h + h^2 and F_1 = sqrt(dt) amp (I + h), a dense 2x4 factor.  Memoised
+    (:func:`_memo`) by the bytes of theta and of diag(0, D1, 0, D2) and by dt, so the gap maps
+    and :func:`scheme_moments` of one system and step share one :func:`_expm1`."""
     half = _expm1(-0.5 * dt * dn.theta.T)
     amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(dt)  # the driven rows p1, p2 of sigma
     return 2 * half + half @ half, amp + amp @ half
 
 
+@_memo(lambda drift, factor, length: (drift.tobytes(), factor.shape, factor.tobytes(), length))
 def _gap_map(drift: np.ndarray, factor: np.ndarray, length: int):
     """(A^L, F_L) of a gap of ``length`` steps from the step's (A - I, F_1); NaN F_L if S_L overflows.
 
     The pair (A^m, S_m) composes over the binary digits of L: doubling takes
     (A, S) to (A^2, S + A^T S A), and a digit adds S_m <- S_m + (A^m)^T S A^m.
     The square is carried as d = A - I, d <- 2d + d^2, so that slow decays
-    are not rounded off against 1.
+    are not rounded off against 1.  Memoised (:func:`_memo`) by the bytes of
+    (A - I, F_1) and by L, so each gap length of a system and step is composed
+    once per process.
     """
     eye = np.eye(4)
     if length == 1:
-        return eye + drift, factor
+        return eye + drift, factor.copy()  # the caller's array is not made read-only
     d, s = drift, factor.T @ factor  # A - I and S over 2^j steps
     power, cov = eye, np.zeros((4, 4))  # A^m and S_m over the digits taken
     while length:
@@ -351,6 +407,10 @@ class _Plan(NamedTuple):
 
 
 def _plan(dn: DriftNoise, cfg: SimConfig) -> _Plan:
+    """The call's plan.  The steps, times, gaps, ends and width are laid out per call, so no
+    two calls share ``times``; the step, the maps and the start's square root come read-only
+    from the memos of :func:`_base_step`, :func:`_gap_map` and :func:`_gaussian_factor`,
+    keyed by value, so each is built once per system and step while it stays in its memo."""
     steps = np.arange(0, cfg.n_steps + 1, cfg.resolved_stride())
     if steps[-1] != cfg.n_steps:
         steps = np.append(steps, cfg.n_steps)
@@ -367,9 +427,9 @@ def _plan(dn: DriftNoise, cfg: SimConfig) -> _Plan:
 
 
 @contextlib.contextmanager
-def _noise(seed: int, chunks: list, plan: _Plan):
+def _noise(seed: int, chunks, plan: _Plan):
     """Enter to get an iterator of (lo, hi, noise) per fill of each chunk (a range of
-    trajectories) in turn; ``noise`` holds the fill's normals.
+    trajectories, from any iterable of them) in turn; ``noise`` holds the fill's normals.
 
     The stream of chunk c, ``SFC64(SeedSequence(seed mod 2**64, spawn_key=(c,)))``,
     is gap-major: the block of a gap whose normals end at ``end`` (per
@@ -411,9 +471,12 @@ def _noise(seed: int, chunks: list, plan: _Plan):
             yield current.result()
         yield pending.result()
 
+    chunks = iter(chunks)
+    head = list(itertools.islice(chunks, 2))  # the first (largest) chunk, and whether one follows
+    chunks = itertools.chain(head, chunks)
     ends, width = plan.ends, plan.width
-    fill = len(chunks[0]) * width  # normals in the largest fill
-    several = len(chunks) > 1 or width < ends[-1]  # a call of one fill has nothing to draw ahead
+    fill = len(head[0]) * width  # normals in the largest fill
+    several = len(head) > 1 or width < ends[-1]  # a call of one fill has nothing to draw ahead
     if not (several and fill >= AHEAD_NORMALS and _usable_cpus() > 1):
         buffer = np.empty(fill)
         yield (draw(*job, buffer) for job in jobs())
@@ -525,6 +588,12 @@ def _finite_moments(times: np.ndarray, moments: tuple) -> None:
         raise NumericalOverflow(f"ensemble moments overflowed near t = {times[k]:.6g}")
 
 
+def _chunks(n: int):
+    """The trajectories of each chunk of an ensemble of ``n``, made as they are asked for, so
+    that the bookkeeping stays the same size at any ensemble size."""
+    return (range(lo, min(lo + CHUNK_TRAJECTORIES, n)) for lo in range(0, n, CHUNK_TRAJECTORIES))
+
+
 def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     """Integrate an ensemble and return streaming moment statistics.
 
@@ -558,15 +627,11 @@ def simulate_ensemble(dn: DriftNoise, cfg: SimConfig) -> EnsembleStats:
     overflow.
     """
     plan = _plan(dn, cfg)
-    chunks = [
-        range(lo, min(lo + CHUNK_TRAJECTORIES, cfg.n_trajectories))
-        for lo in range(0, cfg.n_trajectories, CHUNK_TRAJECTORIES)
-    ]
     # a sum of finite states can leave the float range: that is checked once, at the end
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with _noise(cfg.seed, chunks, plan) as fills:
+        with _noise(cfg.seed, _chunks(cfg.n_trajectories), plan) as fills:
             run = functools.partial(_run_chunk, cfg, plan, fills)
-            n, mean, m2 = functools.reduce(_merge, map(run, chunks))
+            n, mean, m2 = functools.reduce(_merge, map(run, _chunks(cfg.n_trajectories)))
 
         # the mean energy tr(W m2) / (2n) + m W m / 2, taken before m2 becomes cov: a
         # one-trajectory ensemble's m2 is 0, its cov NaN.  m W is formed first, so that a

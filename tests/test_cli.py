@@ -312,9 +312,12 @@ def test_verify_monte_carlo_rows_fail_at_most_one_seed_in_forty():
 
 def test_verify_monte_carlo_cov_catches_a_transposed_gap_factor(monkeypatch):
     # F_L^T in place of F_L moves the samples' covariance off the scheme's law,
-    # which scheme_moments builds from theta, Q and dt without the gap maps
+    # which scheme_moments builds from theta, Q and dt without the gap maps.  A
+    # warm-up call fills the set-up memos first: they sit under _gap_map's name,
+    # so the patched map is still the one each call's plan reads
     from hybridosc import sde
 
+    _tiny_coupling_rows(range(1))
     gap_map = sde._gap_map
 
     def transposed(*args):
@@ -370,6 +373,12 @@ _REJECTED_INPUTS = {
     "output_is_directory": ["-o", "TMP", "stability"],
     "zero_correlator_points": ["-o", "TMP/c.csv", "correlators", "--points", "0"],
     "nan_correlator_t_max": ["correlators", "--t-max", "nan"],
+    # t_final / dt overflows to inf: no step count
+    "overflowing_step_count": ["simulate", "--dt", "1e-300", "--t-final", "1e300"],
+    # 1e16 elements exceed any 64-bit address space, so the allocation fails at once
+    "oversized_correlator_grid": ["-o", "TMP/c.csv", "correlators", "--points", "10000000000000000"],
+    "oversized_simulate_outputs": ["-o", "TMP/s.csv", "simulate", "--dt", "1e-12", "--t-final", "1e4",
+                                   "--output-stride", "1", "--n-trajectories", "2"],
 }
 
 

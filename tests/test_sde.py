@@ -1163,3 +1163,132 @@ def test_sample_trajectory_matches_member_of_multi_trajectory_chunk(monkeypatch)
             member[k0 : k0 + len(group)] = group[:, index - 128]
     _, path = sample_trajectory(dn, cfg, index)
     assert np.array_equal(path, member)
+
+
+def test_step_count_that_overflows_is_a_value_error():
+    # t_final / dt = inf has no step count; the message names both values.  A
+    # finite count, however large, still runs: a strided 1e300-step run is 401 moves
+    with pytest.raises(ValueError, match=r"finite step count, got t_final = 1e\+300 and dt = 1e-300$"):
+        SimConfig(dt=1e-300, t_final=1e300, n_trajectories=2)
+    assert SimConfig(dt=1e-150, t_final=1e150, n_trajectories=2).n_steps > 10**299
+
+
+def test_chunk_bookkeeping_does_not_grow_with_the_ensemble(monkeypatch):
+    # 10**8 trajectories are 97,657 chunks, made one at a time: stopped after
+    # the second chunk, the traced peak is a few kB (about 15 MB when the
+    # range of every chunk was listed before stepping)
+    import tracemalloc
+
+    from hybridosc import sde
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def stop_at_the_second(cfg, plan, fills, indices):
+        seen.append(indices)
+        if len(seen) == 2:
+            raise Stop
+        return len(indices), None, None
+
+    monkeypatch.setattr(sde, "_run_chunk", stop_at_the_second)
+    dn = assemble_drift_noise(SystemParams.natural_units(0.05))
+    cfg = SimConfig(dt=1e-3, t_final=2e-3, n_trajectories=10**8, initial_state=np.zeros(4), output_stride=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            simulate_ensemble(dn, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [range(0, 1024), range(1024, 2048)]
+    assert peak < 1e6
+
+
+def _memos():
+    from hybridosc import sde
+
+    return sde._base_step, sde._gap_map, sde._gaussian_factor
+
+
+def _memo_configs():
+    # a strided Gaussian start, a strided fixed start with a remainder gap (300,
+    # 300, 300, 100) and an every-step run, each over more than one chunk
+    dn = assemble_drift_noise(SystemParams.natural_units(0.05, d1=1.5, d2=0.7))
+    return dn, [
+        dict(dt=5e-4, t_final=4096 * 5e-4, n_trajectories=1500,
+             initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn), output_stride=2048),
+        dict(dt=1e-3, t_final=1.0, n_trajectories=1100, initial_state=np.ones(4), output_stride=300),
+        dict(dt=1e-3, t_final=0.05, n_trajectories=1030, initial_state=np.zeros(4), output_stride=1),
+    ]
+
+
+def _every_output(dn, cfg):
+    # every array an ensemble, a path and the scheme's moments return, as bytes
+    from dataclasses import fields
+
+    from hybridosc import sde
+
+    stats = simulate_ensemble(dn, cfg)
+    arrays = [getattr(stats, f.name) for f in fields(stats) if f.name != "n_trajectories"]
+    arrays += sample_trajectory(dn, cfg, cfg.n_trajectories - 3)
+    arrays += sde.scheme_moments(dn, cfg.dt, cfg.n_steps, np.ones(4), np.eye(4))
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def test_memoised_set_up_gives_the_same_bits_warm_as_cold():
+    # the memos are keyed by value, so a warm call, at the same seed or another,
+    # returns exactly what a call that builds every map afresh returns
+    from hybridosc import sde
+
+    dn, configs = _memo_configs()
+    for kwargs in configs:
+        for memo in _memos():
+            memo.cache_clear()
+        cold = _every_output(dn, SimConfig(seed=3, **kwargs))
+        hits = sde._gap_map.cache_info().hits
+        assert _every_output(dn, SimConfig(seed=3, **kwargs)) == cold
+        assert sde._gap_map.cache_info().hits > hits
+        warm = _every_output(dn, SimConfig(seed=8, **kwargs))
+        for memo in _memos():
+            memo.cache_clear()
+        assert _every_output(dn, SimConfig(seed=8, **kwargs)) == warm
+        assert warm != cold
+
+
+def test_memoised_set_up_is_read_only():
+    # a caller cannot write into a cached map, and writing into a returned
+    # ensemble cannot reach the next call: its times are laid out per call
+    from hybridosc import sde
+
+    dn, configs = _memo_configs()
+    cfg = SimConfig(seed=5, **configs[0])
+    plan = sde._plan(dn, cfg)
+    cached = [*sde._base_step(dn, cfg.dt), plan.start, *(a for pair in plan.maps.values() for a in pair)]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    want = _every_output(dn, cfg)
+    stats = simulate_ensemble(dn, cfg)
+    for array in (stats.times, stats.mean, stats.cov, stats.energy_mean):
+        array[...] = 7.0
+    assert _every_output(dn, cfg) == want
+    # the one-step map copies the factor it is given rather than flagging it
+    factor = np.ones((2, 4))
+    assert sde._gap_map(np.zeros((4, 4)), factor, 1)[1] is not factor
+    assert factor.flags.writeable
+
+
+def test_memos_stay_at_their_bound():
+    # more distinct steps than the bound: each memo keeps the most recent ones
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(0.05))
+    cov = solve_lyapunov(dn)
+    for k in range(sde._MEMO_SIZE + 5):
+        dt = 1e-3 * (1 + k / 64)
+        sde._plan(dn, SimConfig(
+            dt=dt, t_final=10 * dt, n_trajectories=2, initial_mean=np.zeros(4), initial_cov=cov + k * np.eye(4),
+        ))
+    assert [memo.cache_info().currsize for memo in _memos()] == [sde._MEMO_SIZE] * 3
