@@ -161,7 +161,7 @@ def occupation_exact(cq: CQParams) -> float:
     return math.sqrt(moments["QQ"] * moments["PP"]) - 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridCorrelators:
     """Leading-order hybrid two-point functions on a time grid.
 

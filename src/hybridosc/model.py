@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +31,11 @@ _PARAM_KEYS = ("m1", "k1", "alpha", "D1", "m2", "k2", "D2", "lambda")
 
 
 def _require_finite(name: str, value: float) -> float:
+    """``value`` as a finite float, -0.0 read as 0.0: equal parameters give the same bits."""
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    return value + 0.0
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,36 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DriftNoise:
-    """Drift matrix theta of the OU form and the parameters behind it.
+    """Drift matrix theta of the OU form, built from the parameters behind it.
 
     ``theta`` follows the sign convention dz = -theta z dt + sigma dW, so a
-    stable system has eigenvalues of theta with positive real parts.  Built
-    by :func:`assemble_drift_noise`; ``params`` is the :class:`SystemParams`
-    theta comes from, the one source of the noise strengths, the stability
-    certificate and the energy.
+    stable system has eigenvalues of theta with positive real parts.  It
+    encodes q1' = p1/m1, p1' = -(k1+lam) q1 - (alpha/m1) p1 + lam q2 and the
+    mirrored equations for the undamped oscillator, and is read-only.
+    ``params``, the :class:`SystemParams` theta comes from, is the one source
+    of the noise strengths, the stability certificate and the energy, and the
+    object's value: two of equal ``params`` are equal and hash alike.
     """
 
-    theta: np.ndarray
     params: SystemParams
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     state_order = STATE_ORDER
 
     def __post_init__(self) -> None:
         if not isinstance(self.params, SystemParams):
             raise TypeError(f"params must be SystemParams, got {type(self.params).__name__}")
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.shape != (4, 4) or not np.isfinite(theta).all():
-            raise ValueError("theta must be a finite 4x4 matrix")
+        o1, o2, lam = self.params.osc1, self.params.osc2, self.params.coupling
+        theta = np.array(
+            [
+                [0.0, -1.0 / o1.mass, 0.0, 0.0],
+                [o1.spring_constant + lam, o1.damping / o1.mass, -lam, 0.0],
+                [0.0, 0.0, 0.0, -1.0 / o2.mass],
+                [-lam, 0.0, o2.spring_constant + lam, 0.0],
+            ]
+        )
+        if not np.isfinite(theta).all():
+            raise ValueError("theta must be finite: k + lambda or 1/m leaves the float range")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
@@ -173,22 +184,9 @@ class DriftNoise:
 
 
 def assemble_drift_noise(params: SystemParams) -> DriftNoise:
-    """Build the 4x4 drift matrix for the coupled pair.
-
-    The drift encodes q1' = p1/m1, p1' = -(k1+lam) q1 - (alpha/m1) p1 + lam q2
-    and the mirrored equations for the undamped oscillator; the noise
-    strengths are read from ``params`` where they are used.
-    """
-    o1, o2, lam = params.osc1, params.osc2, params.coupling
-    theta = np.array(
-        [
-            [0.0, -1.0 / o1.mass, 0.0, 0.0],
-            [o1.spring_constant + lam, o1.damping / o1.mass, -lam, 0.0],
-            [0.0, 0.0, 0.0, -1.0 / o2.mass],
-            [-lam, 0.0, o2.spring_constant + lam, 0.0],
-        ]
-    )
-    return DriftNoise(theta=theta, params=params)
+    """The coupled pair's :class:`DriftNoise`; the noise strengths are read from ``params``
+    where they are used."""
+    return DriftNoise(params)
 
 
 def characteristic_polynomial(params: SystemParams) -> np.ndarray:

@@ -46,10 +46,11 @@ arrays over all output steps, are merged into the running total with Chan's
 pairwise update as it finishes.  Each call lays out its outputs and fills
 once (:func:`_plan`); the step, the gap maps and the start's square root
 depend only on the system and the step, and are built once per process and
-kept by value (:func:`_memo`).  Each call draws through one noise source
-(:func:`_noise`): where a second CPU is usable, the call takes more than one
-fill and a fill holds at least ``AHEAD_NORMALS`` normals, one helper thread
-draws the next fill into the other of two fill buffers meanwhile, for
+kept in ``functools.lru_cache`` memos keyed by value: a :class:`DriftNoise`
+compares and hashes by its parameters.  Each call draws through one noise
+source (:func:`_noise`): where a second CPU is usable, the call takes more
+than one fill and a fill holds at least ``AHEAD_NORMALS`` normals, one helper
+thread draws the next fill into the other of two fill buffers meanwhile, for
 :func:`simulate_ensemble` and :func:`sample_trajectory` alike; the results
 are bitwise identical with it or without it.
 """
@@ -61,6 +62,7 @@ import contextlib
 import functools
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -88,8 +90,8 @@ CSV_ROWS = 1024
 # it saves (2 CPUs: 12,288 normals 16% slower than inline, 36,864 8% faster, 135,168 28%
 # faster; BENCH_em_sfc64.json).  Speed only: results do not depend on it
 AHEAD_NORMALS = 1 << 15
-# set-up results each memo of :func:`_memo` keeps, the most recently used: a step, a gap
-# map or a start factor of a few 4x4 arrays each.  Speed only: results do not depend on it
+# set-up results each memo keeps, the most recently used: a step, a gap map or a start
+# factor of a few 4x4 arrays each.  Speed only: results do not depend on it
 _MEMO_SIZE = 32
 
 
@@ -98,14 +100,15 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Ensemble integration settings.
 
     ``initial_state`` fixes a deterministic initial condition; alternatively
     supply ``initial_mean`` and ``initial_cov`` to draw each trajectory's
     start from a Gaussian.  ``output_stride`` records every k-th step
-    (the initial and final steps are always recorded).
+    (the initial and final steps are always recorded).  ``dt`` and
+    ``t_final`` are stored as floats; the counts must be integers.
     """
 
     dt: float
@@ -122,6 +125,12 @@ class SimConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.t_final > 0 and np.isfinite(self.t_final)):
             raise ValueError("t_final must be positive and finite")
+        object.__setattr__(self, "dt", float(self.dt))  # a 0-d array cannot key the set-up memos
+        object.__setattr__(self, "t_final", float(self.t_final))
+        for name in ("n_trajectories", "output_stride"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if not np.isfinite(self.t_final / self.dt):
             raise ValueError(
                 f"t_final / dt must be a finite step count, got t_final = {self.t_final!r}"
@@ -156,7 +165,7 @@ class SimConfig:
         return max(1, self.n_steps // 400)
 
 
-@dataclass
+@dataclass(eq=False)
 class EnsembleStats:
     """Per-time ensemble moments with standard errors.
 
@@ -252,7 +261,9 @@ def scheme_moments(dn: DriftNoise, dt: float, n_steps: int, mean: np.ndarray, co
     with the gap maps the ensemble moves by, but not their doubling; the test
     suite checks that pair against scipy's expm.
     """
-    drift, factor = _base_step(dn, dt)
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
+    drift, factor = _base_step(dn, float(dt))
     step, eye = drift.T, np.eye(4)
     # vec convention: (A @ X @ B.T).ravel() == kron(A, B) @ X.ravel()
     d_cov = np.kron(step, step) + np.kron(step, eye) + np.kron(eye, step)
@@ -300,50 +311,24 @@ def moment_screen(stats: EnsembleStats, k: int, mean: np.ndarray, cov: np.ndarra
     )
 
 
-class _Args:
-    """A call's arguments, hashed and compared by ``key``, their values: never by identity."""
-
-    __slots__ = ("args", "key")
-
-    def __init__(self, args: tuple, key: tuple) -> None:
-        self.args, self.key = args, key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
-def _memo(key):
-    """Memoise a set-up function by ``key(*args)``, the bytes and numbers it reads, in an LRU of
-    ``_MEMO_SIZE`` results (``cache_info``, ``cache_clear``); the arrays it returns are
-    read-only, so no caller can change what a later call gets."""
-
-    def wrap(build):
-        @functools.lru_cache(maxsize=_MEMO_SIZE)
-        def cached(call: _Args):
-            out, call.args = build(*call.args), None  # the key alone stays in the memo
-            for array in out if isinstance(out, tuple) else (out,):
-                array.setflags(write=False)
-            return out
-
-        @functools.wraps(build)
-        def memoised(*args):
-            return cached(_Args(args, key(*args)))
-
-        memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
-        return memoised
-
-    return wrap
-
-
-@_memo(lambda cov: (np.shape(cov), np.asarray(cov, dtype=float).tobytes()))
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
-    """PSD square root tolerant of semidefinite covariances; memoised by the covariance's bytes."""
+    """PSD square root tolerant of semidefinite covariances."""
     vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
     vals = np.clip(vals, 0.0, None)
     return vecs * np.sqrt(vals)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """``arrays``, flagged read-only, so that no caller can change what a memo hands out later."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _start_factor(cov_bytes: bytes) -> np.ndarray:
+    """The Gaussian start's square root from the bytes of its 4x4 covariance, memoised by them."""
+    return _read_only(_gaussian_factor(np.frombuffer(cov_bytes).reshape(4, 4)))[0]
 
 
 def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray:
@@ -354,31 +339,28 @@ def _finite(states: np.ndarray, indices: range, times: np.ndarray) -> np.ndarray
     return states
 
 
-@_memo(lambda dn, dt: (dn.theta.tobytes(), dn.diffusion_matrix.tobytes(), float(dt).hex()))
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _base_step(dn: DriftNoise, dt: float):
     """(d, F_1) of one step, d = A - I and F_1 = sqrt(dt) amp B, from the half step h = B - I
-    taken once: d = 2h + h^2 and F_1 = sqrt(dt) amp (I + h), a dense 2x4 factor.  Memoised
-    (:func:`_memo`) by the bytes of theta and of diag(0, D1, 0, D2) and by dt, so the gap maps
-    and :func:`scheme_moments` of one system and step share one :func:`_expm1`."""
+    taken once: d = 2h + h^2 and F_1 = sqrt(dt) amp (I + h), a dense 2x4 factor.  Memoised by
+    the system's value (its parameters) and dt, so the gap maps and :func:`scheme_moments` of
+    one system and step share one :func:`_expm1`."""
     half = _expm1(-0.5 * dt * dn.theta.T)
     amp = np.sqrt(dn.diffusion_matrix[1::2]) * np.sqrt(dt)  # the driven rows p1, p2 of sigma
-    return 2 * half + half @ half, amp + amp @ half
+    return _read_only(2 * half + half @ half, amp + amp @ half)
 
 
-@_memo(lambda drift, factor, length: (drift.tobytes(), factor.shape, factor.tobytes(), length))
-def _gap_map(drift: np.ndarray, factor: np.ndarray, length: int):
+def _compose(drift: np.ndarray, factor: np.ndarray, length: int):
     """(A^L, F_L) of a gap of ``length`` steps from the step's (A - I, F_1); NaN F_L if S_L overflows.
 
     The pair (A^m, S_m) composes over the binary digits of L: doubling takes
     (A, S) to (A^2, S + A^T S A), and a digit adds S_m <- S_m + (A^m)^T S A^m.
     The square is carried as d = A - I, d <- 2d + d^2, so that slow decays
-    are not rounded off against 1.  Memoised (:func:`_memo`) by the bytes of
-    (A - I, F_1) and by L, so each gap length of a system and step is composed
-    once per process.
+    are not rounded off against 1.  A one-step gap returns ``factor`` itself.
     """
     eye = np.eye(4)
     if length == 1:
-        return eye + drift, factor.copy()  # the caller's array is not made read-only
+        return eye + drift, factor
     d, s = drift, factor.T @ factor  # A - I and S over 2^j steps
     power, cov = eye, np.zeros((4, 4))  # A^m and S_m over the digits taken
     while length:
@@ -390,6 +372,14 @@ def _gap_map(drift: np.ndarray, factor: np.ndarray, length: int):
             s = s + (eye + d).T @ s @ (eye + d)
             d = 2 * d + d @ d
     return power, _gaussian_factor(cov).T if np.isfinite(cov).all() else np.full((4, 4), np.nan)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _gap_map(dn: DriftNoise, dt: float, length: int):
+    """(A^L, F_L) of a gap of ``length`` steps of ``dt`` (:func:`_compose` on :func:`_base_step`),
+    memoised by the system's value, dt and L, so each gap length of a system and step is
+    composed once per process."""
+    return _read_only(*_compose(*_base_step(dn, dt), length))
 
 
 class _Plan(NamedTuple):
@@ -408,21 +398,23 @@ class _Plan(NamedTuple):
 
 def _plan(dn: DriftNoise, cfg: SimConfig) -> _Plan:
     """The call's plan.  The steps, times, gaps, ends and width are laid out per call, so no
-    two calls share ``times``; the step, the maps and the start's square root come read-only
-    from the memos of :func:`_base_step`, :func:`_gap_map` and :func:`_gaussian_factor`,
-    keyed by value, so each is built once per system and step while it stays in its memo."""
+    two calls share ``times``; the maps and the start's square root come read-only from the
+    memos of :func:`_gap_map` and :func:`_start_factor`, keyed by value (the system's
+    parameters, dt and L; the covariance's bytes), so each is built once per system and step
+    while it stays in its memo."""
     steps = np.arange(0, cfg.n_steps + 1, cfg.resolved_stride())
     if steps[-1] != cfg.n_steps:
         steps = np.append(steps, cfg.n_steps)
     gaps = np.diff(steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift, factor = _base_step(dn, cfg.dt)
-        maps = {gap: _gap_map(drift, factor, gap) for gap in set(gaps.tolist())}
+        maps = {gap: _gap_map(dn, cfg.dt, gap) for gap in set(gaps.tolist())}
     ends = (4 if cfg.initial_mean is not None else 0) + np.cumsum(np.where(gaps == 1, 2, 4))
     # FILL_NORMALS over the first (largest) chunk's rows, room for the start and one gap
     # at least, never more than a trajectory uses
     width = int(min(max(FILL_NORMALS // min(cfg.n_trajectories, CHUNK_TRAJECTORIES), 8), ends[-1]))
-    start = None if cfg.initial_mean is None else _gaussian_factor(cfg.initial_cov)
+    start = None
+    if cfg.initial_mean is not None:
+        start = _start_factor(np.asarray(cfg.initial_cov, dtype=float).tobytes())
     return _Plan(steps, steps * cfg.dt, maps, gaps.tolist(), ends.tolist(), width, start)
 
 

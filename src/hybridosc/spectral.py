@@ -98,7 +98,7 @@ _SLOTS = {  # (row, col) of each two-point function in the (q1, q1~, q2, q2~) ma
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreensFrequency:
     """Closed-form Green's function at one real frequency; ``g11`` ... ``response_21``
     read their ``_SLOTS`` entries of ``matrix``."""
@@ -146,11 +146,15 @@ def greens(params: SystemParams, omega: float) -> GreensFrequency:
 
     Raises
     ------
+    ValueError
+        If ``omega`` is not finite.
     PoleOnAxis
         If |D(omega)| vanishes at the requested real frequency relative to
         the size of its constituent terms (reachable only at zero coupling,
         where the undamped factor has real zeros).
     """
+    if not np.isfinite(float(omega)):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     o1, o2, lam = params.osc1, params.osc2, params.coupling
     a, a_conj, b = _abc(params, complex(omega))
     den_up = a * b - lam**2
@@ -196,7 +200,7 @@ def _upper_roots(coeffs: np.ndarray) -> np.ndarray:
     return roots[np.argsort(roots.real)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleSet:
     """The two independent first-quadrant poles and the full upper-plane set.
 
@@ -336,7 +340,7 @@ def perturbative_poles(params: SystemParams, order: int = 2) -> PoleSet:
 # time-domain correlators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatorTable:
     """Sampled unequal-time two-point functions.
 

@@ -24,7 +24,7 @@ from .model import SystemParams, assemble_drift_noise, characteristic_polynomial
 SPECTRUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Outcome of the stability certification.
 

@@ -205,8 +205,8 @@ def evolve_moments(dn: DriftNoise, cov0: np.ndarray, mean0: np.ndarray, t_grid: 
     """
     theta, q = dn.theta, dn.diffusion_matrix[None]
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing with at least one point")
+    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0) or not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite and strictly increasing, with at least one point")
     covs = [validate_covariance(np.array(cov0, dtype=float))]
     means = [np.array(mean0, dtype=float).reshape(4)]
     for span in np.diff(t_grid):

@@ -314,7 +314,7 @@ def test_verify_monte_carlo_cov_catches_a_transposed_gap_factor(monkeypatch):
     # F_L^T in place of F_L moves the samples' covariance off the scheme's law,
     # which scheme_moments builds from theta, Q and dt without the gap maps.  A
     # warm-up call fills the set-up memos first: they sit under _gap_map's name,
-    # so the patched map is still the one each call's plan reads
+    # which _plan looks up on each call, so the patched map is the one it reads
     from hybridosc import sde
 
     _tiny_coupling_rows(range(1))

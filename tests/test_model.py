@@ -84,11 +84,26 @@ def test_validation_rejects_bad_parameters():
 
 
 def test_drift_noise_requires_its_parameters():
-    dn = assemble_drift_noise(SystemParams.natural_units(0.4))
     with pytest.raises(TypeError, match="SystemParams"):
-        DriftNoise(theta=dn.theta, params=None)
+        DriftNoise(params=None)
     with pytest.raises(TypeError):
-        DriftNoise(theta=dn.theta)
+        DriftNoise()
+
+
+def test_drift_noise_is_its_parameters_value():
+    # two systems assembled apart from equal parameters are equal and hash alike
+    params = make_params(1.5, 0.8, 0.6, 1.2, 0.9, 1.3, 0.4, 0.07)
+    a = assemble_drift_noise(params)
+    b = assemble_drift_noise(SystemParams.from_dict(params.to_dict()))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != assemble_drift_noise(make_params(1.5, 0.8, 0.6, 1.2, 0.9, 1.3, 0.4, 0.08))
+    assert not a.theta.flags.writeable
+    # -0.0 reads as 0.0, so parameters that compare equal give the same bits
+    signed = make_params(1.0, -0.0, -0.0, -0.0, 1.0, -0.0, -0.0, -0.0)
+    plain = make_params(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    assert signed == plain and assemble_drift_noise(signed) == assemble_drift_noise(plain)
+    assert assemble_drift_noise(signed).theta.tobytes() == assemble_drift_noise(plain).theta.tobytes()
+    assert json.dumps(signed.to_dict()) == json.dumps(plain.to_dict())
 
 
 def test_json_round_trip(tmp_path):

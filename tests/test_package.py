@@ -1,5 +1,8 @@
-"""The package namespace is lazy, and each quick subcommand loads only the modules it runs."""
+"""The package namespace is lazy, each quick subcommand loads only the modules it runs, and
+no exported type's == raises."""
 
+import copy
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -86,3 +89,40 @@ def test_namespace_imports_dir_and_errors():
     with pytest.raises(AttributeError, match="no_such_name"):
         hybridosc.no_such_name
     assert hybridosc.__version__ == "0.1.0"
+
+
+def _one_of_each_dataclass() -> dict:
+    """An instance of every exported dataclass, by name."""
+    import numpy as np
+
+    from hybridosc import (
+        CQParams, SimConfig, SystemParams, assemble_drift_noise, correlators_exact, find_poles,
+        greens, hybrid_correlators, routh_hurwitz, sde, solve_lyapunov, thermal_limit,
+    )
+
+    params = SystemParams.natural_units(0.3)
+    dn = assemble_drift_noise(params)
+    cfg = SimConfig(dt=0.1, t_final=0.3, n_trajectories=3, initial_mean=np.zeros(4), initial_cov=solve_lyapunov(dn))
+    cq = CQParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3)
+    return {
+        "CQParams": cq, "HybridCorrelators": hybrid_correlators(cq, np.linspace(0.0, 1.0, 3)),
+        "ThermalReport": thermal_limit(cq), "DriftNoise": dn, "OscillatorParams": params.osc1,
+        "SystemParams": params, "EnsembleStats": sde.simulate_ensemble(dn, cfg), "SimConfig": cfg,
+        "CorrelatorTable": correlators_exact(params, np.linspace(0.0, 1.0, 3)),
+        "GreensFrequency": greens(params, 0.5), "PoleSet": find_poles(params),
+        "StabilityReport": routh_hurwitz(params),
+    }
+
+
+def test_no_dataclass_equality_raises():
+    # a dataclass that holds arrays compares by identity: a generated == would
+    # compare its arrays and raise on their ambiguous truth value.  The rest
+    # compare by value, a DriftNoise by its parameters
+    by_value = {"CQParams", "DriftNoise", "OscillatorParams", "SystemParams", "ThermalReport"}
+    instances = _one_of_each_dataclass()
+    exported = {name for name in hybridosc.__all__ if dataclasses.is_dataclass(getattr(hybridosc, name))}
+    assert instances.keys() == exported
+    for name, x in instances.items():
+        twin = copy.deepcopy(x)
+        assert x == x and x in [x], name
+        assert (twin == x) is (x in [twin]) is (name in by_value), name

@@ -461,7 +461,7 @@ def _gap_map_and_loop(params, dt, length):
     for _ in range(length):
         cov += (amp @ power).T @ (amp @ power)
         power = power @ step_t
-    return (power, cov, *sde._gap_map(step_t - np.eye(4), amp, length))
+    return (power, cov, *sde._compose(step_t - np.eye(4), amp, length))
 
 
 def test_gap_map_rounding_is_absolute_on_long_decays():
@@ -971,6 +971,13 @@ def test_config_validation():
         SimConfig(dt=-1.0, t_final=1.0, n_trajectories=1)
     with pytest.raises(ValueError):
         SimConfig(dt=1e-2, t_final=1.0, n_trajectories=0)
+    # a count that is not an integer fails here, naming its field, not deep in the run
+    with pytest.raises(TypeError, match="^n_trajectories must be an integer, got 2.5$"):
+        SimConfig(dt=1e-2, t_final=1.0, n_trajectories=2.5)
+    with pytest.raises(TypeError, match="^output_stride must be an integer, got 2.5$"):
+        SimConfig(dt=1e-2, t_final=1.0, n_trajectories=2, output_stride=2.5)
+    counts = SimConfig(dt=1e-2, t_final=1.0, n_trajectories=np.int64(3), output_stride=np.int32(2))
+    assert simulate_ensemble(assemble_drift_noise(SystemParams.natural_units(0.3)), counts).n_trajectories == 3
     with pytest.raises(ValueError):
         SimConfig(
             dt=1e-2, t_final=1.0, n_trajectories=1,
@@ -1209,7 +1216,7 @@ def test_chunk_bookkeeping_does_not_grow_with_the_ensemble(monkeypatch):
 def _memos():
     from hybridosc import sde
 
-    return sde._base_step, sde._gap_map, sde._gaussian_factor
+    return sde._base_step, sde._gap_map, sde._start_factor
 
 
 def _memo_configs():
@@ -1274,9 +1281,10 @@ def test_memoised_set_up_is_read_only():
     for array in (stats.times, stats.mean, stats.cov, stats.energy_mean):
         array[...] = 7.0
     assert _every_output(dn, cfg) == want
-    # the one-step map copies the factor it is given rather than flagging it
+    # composing flags nothing: only the memos make what they keep read-only
     factor = np.ones((2, 4))
-    assert sde._gap_map(np.zeros((4, 4)), factor, 1)[1] is not factor
+    for length in (1, 3):
+        assert all(a.flags.writeable for a in sde._compose(np.zeros((4, 4)), factor, length))
     assert factor.flags.writeable
 
 
@@ -1292,3 +1300,37 @@ def test_memos_stay_at_their_bound():
             dt=dt, t_final=10 * dt, n_trajectories=2, initial_mean=np.zeros(4), initial_cov=cov + k * np.eye(4),
         ))
     assert [memo.cache_info().currsize for memo in _memos()] == [sde._MEMO_SIZE] * 3
+
+
+def test_an_equal_system_and_step_share_the_memos():
+    # a DriftNoise is keyed by its parameters, so a second one assembled from
+    # equal parameters, at a 0-d array or numpy-scalar dt, reads the first's
+    # maps and gives the same bits as the float dt
+    from hybridosc import sde
+
+    dn, configs = _memo_configs()
+    kwargs = configs[1]
+    want = _every_output(dn, SimConfig(seed=3, **kwargs))
+    again = assemble_drift_noise(SystemParams.from_dict(dn.params.to_dict()))
+    assert again is not dn and again == dn and hash(again) == hash(dn)
+    for dt in (np.array(kwargs["dt"]), np.float64(kwargs["dt"])):
+        cfg = SimConfig(seed=3, **{**kwargs, "dt": dt})
+        assert type(cfg.dt) is float and type(cfg.t_final) is float
+        hits = sde._gap_map.cache_info().hits
+        sde._plan(again, cfg)
+        assert sde._gap_map.cache_info().hits > hits
+        assert _every_output(again, cfg) == want
+    got = sde.scheme_moments(again, np.array(kwargs["dt"]), 10, np.ones(4), np.eye(4))
+    assert [a.tobytes() for a in got] == [
+        a.tobytes() for a in sde.scheme_moments(dn, kwargs["dt"], 10, np.ones(4), np.eye(4))
+    ]
+
+
+def test_scheme_moments_refuses_a_negative_step_count():
+    from hybridosc import sde
+
+    dn = assemble_drift_noise(SystemParams.natural_units(0.3))
+    with pytest.raises(ValueError, match="n_steps"):
+        sde.scheme_moments(dn, 1e-2, -1, np.zeros(4), np.eye(4))
+    mean, cov = sde.scheme_moments(dn, 1e-2, 0, np.ones(4), np.eye(4))
+    assert np.array_equal(mean, np.ones(4)) and np.array_equal(cov, np.eye(4))

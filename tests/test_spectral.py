@@ -92,6 +92,12 @@ def test_greens_names_read_their_slots():
         g.g33
 
 
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+def test_greens_refuses_a_non_finite_frequency(omega):
+    with pytest.raises(ValueError, match="finite"):
+        greens(SystemParams.natural_units(0.05), omega)
+
+
 def test_pole_on_axis_at_zero_coupling():
     params = make_params(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(PoleOnAxis):

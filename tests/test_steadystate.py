@@ -255,6 +255,13 @@ def test_closed_form_overflow_names_the_coupling(params):
         closed_form_covariances(params)
 
 
+@pytest.mark.parametrize("t_grid", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+def test_evolve_moments_refuses_non_finite_times(t_grid):
+    dn = assemble_drift_noise(SystemParams.natural_units(0.05))
+    with pytest.raises(ValueError, match="finite"):
+        evolve_moments(dn, np.eye(4), np.zeros(4), np.array(t_grid))
+
+
 def test_evolve_moments_stationary_fixed_point():
     params = SystemParams.natural_units(0.4)
     dn = assemble_drift_noise(params)
